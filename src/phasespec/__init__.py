@@ -23,7 +23,6 @@ from .core import (
 )
 from .densities import (
     CrossTermPolicy,
-    DensityKind,
     hermite_mixture,
     hermite_spectrogram,
     husimi,
@@ -68,7 +67,6 @@ __all__ = [
     "symplectic_matrix",
     "gaussian_overlap",
     "state_norm2",
-    "DensityKind",
     "CrossTermPolicy",
     "wigner",
     "husimi",

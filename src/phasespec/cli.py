@@ -90,32 +90,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
-    flag_map = {
-        "h": args.h,
-        "d": args.d,
-        "n": args.n,
-        "sampler": args.sampler,
-        "seed": args.seed,
-        "skip": args.skip,
-        "leap": args.leap,
-        "split": args.split,
-        "method": args.method,
-        "observable": args.observable,
-        "out": args.out,
-        "force": args.force,
-        "state": args.state,
-        "alpha": args.alpha,
-        "workers": args.workers,
-        "points_per_axis": args.points_per_axis,
-        "reference_resolution": args.reference_resolution,
-        "n_points": args.n_points,
-        "max_radius": args.max_radius,
-        "threshold": args.threshold,
-        "h_list": _parse_list(args.h_list, float),
-        "d_list": _parse_list(args.d_list, int),
-    }
+    flag_map = {name: getattr(args, name, None) for name in RunConfig.__dataclass_fields__}
+    flag_map["h_list"] = _parse_list(args.h_list, float)
+    flag_map["d_list"] = _parse_list(args.d_list, int)
     merged = dict(file_values)
-    merged["experiment"] = args.experiment
     for key, value in flag_map.items():
         if value is not None:
             merged[key] = value

@@ -42,14 +42,12 @@ functions wrap these for a single :class:`~phasespec.core.PhasePoint`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import GaussianState, PhasePoint
 
 __all__ = [
-    "DensityKind",
     "CrossTermPolicy",
     "wigner",
     "husimi",
@@ -66,16 +64,6 @@ __all__ = [
     "mu_single_branch_many",
     "laplacian_husimi_many",
 ]
-
-
-class DensityKind(str, Enum):
-    """Labels for the density families handled by this module."""
-
-    WIGNER = "wigner"
-    HUSIMI = "husimi"
-    HERMITE = "hermite"
-    HERMITE_MIXTURE = "hermite-mixture"
-    MU = "mu"
 
 
 @dataclass(frozen=True)
@@ -103,11 +91,6 @@ class CrossTermPolicy:
         dp = state.centers_p[:, None, :] - state.centers_p[None, :, :]
         dist2 = np.sum(dq * dq + dp * dp, axis=-1)
         return np.exp(-dist2 / (8.0 * state.h))
-
-    def keeps_pair(self, state: GaussianState, k: int, l: int) -> bool:
-        if self.mode == "exact" or k == l:
-            return True
-        return bool(self.pair_damping(state)[k, l] >= self.threshold)
 
     def max_offdiagonal_damping(self, state: GaussianState) -> float:
         if state.n_branches == 1:
@@ -143,13 +126,27 @@ def husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
 
-def _zeta(state: GaussianState, j: int, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Per-plane complex offsets zeta[i, k] for plane j (1-based)."""
-    jj = j - 1
-    off = (state.centers_q[None, :, jj] - Q[:, None, jj]) + 1j * (
-        state.centers_p[None, :, jj] - P[:, None, jj]
-    )
-    return off / np.sqrt(2.0 * state.h)
+def _plane_amplitudes(
+    state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray, planes=slice(None)
+) -> np.ndarray:
+    """A[j, i] = sum_k c_k zeta_{j,k}(w_i) O_k(w_i) for the selected planes.
+
+    The offsets are laid out plane-major as one (planes, m, K) array and
+    contracted with the coefficients in a single (planes * m, K) product.
+    """
+    cq = state.centers_q[:, planes].T
+    cp = state.centers_p[:, planes].T
+    zeta = np.empty((cq.shape[0],) + O.shape, dtype=complex)
+    np.subtract(cq[:, None, :], Q[:, planes].T[:, :, None], out=zeta.real)
+    np.subtract(cp[:, None, :], P[:, planes].T[:, :, None], out=zeta.imag)
+    zeta /= np.sqrt(2.0 * state.h)
+    zeta *= O[None]
+    return (zeta.reshape(-1, O.shape[1]) @ state.coefficients).reshape(cq.shape[0], -1)
+
+
+def _plane_power_sum(state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """sum_j |A_j|^2, accumulated plane by plane in order j = 1..d."""
+    return np.sum(np.abs(_plane_amplitudes(state, Q, P, O)) ** 2, axis=0)
 
 
 def hermite_spectrogram_many(state: GaussianState, j: int, Q, P) -> np.ndarray:
@@ -158,20 +155,15 @@ def hermite_spectrogram_many(state: GaussianState, j: int, Q, P) -> np.ndarray:
         raise ValueError(f"plane index {j} out of range 1..{state.dim}")
     Q, P = _points(Q, P, state.dim)
     O = _overlap_factors(state, Q, P)
-    amp = (_zeta(state, j, Q, P) * O) @ state.coefficients
+    amp = _plane_amplitudes(state, Q, P, O, slice(j - 1, j))[0]
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
 
 def hermite_mixture_many(state: GaussianState, Q, P) -> np.ndarray:
     """Plane average (1/d) sum_j S_j(w); a probability density up to the norm."""
     Q, P = _points(Q, P, state.dim)
-    O = _overlap_factors(state, Q, P)
-    pref = (2.0 * np.pi * state.h) ** (-state.dim)
-    total = np.zeros(Q.shape[0])
-    for j in range(1, state.dim + 1):
-        amp = (_zeta(state, j, Q, P) * O) @ state.coefficients
-        total += np.abs(amp) ** 2
-    return pref * total / state.dim
+    total = _plane_power_sum(state, Q, P, _overlap_factors(state, Q, P))
+    return (2.0 * np.pi * state.h) ** (-state.dim) * total / state.dim
 
 
 def mu_combination_many(state: GaussianState, Q, P) -> np.ndarray:
@@ -181,15 +173,11 @@ def mu_combination_many(state: GaussianState, Q, P) -> np.ndarray:
     branch-pair interference.
     """
     Q, P = _points(Q, P, state.dim)
-    d, h = state.dim, state.h
+    d = state.dim
     O = _overlap_factors(state, Q, P)
-    pref = (2.0 * np.pi * h) ** (-d)
-    amp_h = O @ state.coefficients
-    total = (1.0 + d / 2.0) * np.abs(amp_h) ** 2
-    for j in range(1, d + 1):
-        amp_j = (_zeta(state, j, Q, P) * O) @ state.coefficients
-        total -= 0.5 * np.abs(amp_j) ** 2
-    return pref * total
+    total = (1.0 + d / 2.0) * np.abs(O @ state.coefficients) ** 2
+    total -= 0.5 * _plane_power_sum(state, Q, P, O)
+    return (2.0 * np.pi * state.h) ** (-d) * total
 
 
 def mu_single_branch_many(center_q, center_p, h: float, Q, P) -> np.ndarray:
@@ -304,13 +292,9 @@ def laplacian_husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     Q, P = _points(Q, P, state.dim)
     d, h = state.dim, state.h
     O = _overlap_factors(state, Q, P)
-    pref = (2.0 * np.pi * h) ** (-d)
-    amp_h = O @ state.coefficients
-    s_sum = np.zeros(Q.shape[0])
-    for j in range(1, d + 1):
-        amp_j = (_zeta(state, j, Q, P) * O) @ state.coefficients
-        s_sum += np.abs(amp_j) ** 2
-    return pref * ((2.0 / h) * s_sum - (2.0 * d / h) * np.abs(amp_h) ** 2)
+    s_sum = _plane_power_sum(state, Q, P, O)
+    h_sq = np.abs(O @ state.coefficients) ** 2
+    return (2.0 * np.pi * h) ** (-d) * ((2.0 / h) * s_sum - (2.0 * d / h) * h_sq)
 
 
 def _scalar(fn, state: GaussianState, w: PhasePoint, *args, **kwargs) -> float:

@@ -419,6 +419,7 @@ def run_henon_heiles(
     if any(d < 2 or d > 128 for d in d_list):
         raise ValueError("d_list entries must lie in 2..128")
     check_resource_budget(n, d_list, force)
+    stream = RunConfig(sampler=sampler, seed=seed, skip=skip, leap=leap)
     rows = []
     generator = None
     for d in sorted(d_list):
@@ -426,10 +427,7 @@ def run_henon_heiles(
         state = spec.benchmark_state()
         kinetic, potential = henon_heiles_energy(spec)
         total = henon_heiles_total(spec)
-        kind = "halton" if sampler == "halton" else "pseudo-random"
-        source = PointSource(
-            dimension=2 * d + 2, kind=kind, seed=seed, skip=skip, leap=leap
-        )
+        source = stream.point_source(2 * d + 2)
         generator = source.generator_id
         for A in (kinetic, potential, total):
             reference = weyl_expectation_gaussian(A, state)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import GaussianState, PhasePoint, validate_h
 from .exceptions import ResourceGuardError
+from .quadrature import _grid_sums
 
 __all__ = [
     "PolynomialSymbol",
@@ -409,13 +410,6 @@ def _marginal_axes(state: GaussianState, centers: np.ndarray, resolution: int, p
     return axes
 
 
-def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    step = axis[1] - axis[0]
-    w = np.full(axis.size, step)
-    w[0] = w[-1] = step / 2.0
-    return w
-
-
 def reference_expectation_grid(
     state: GaussianState,
     A: Observable,
@@ -454,34 +448,14 @@ def reference_expectation_grid(
         )
     work = state if side == "position" else momentum_space_state(state)
     axes = _marginal_axes(work, work.centers_q, resolution, padding_sigmas)
-    weights = [_trapezoid_weights(ax) for ax in axes]
 
-    num = 0.0
-    den = 0.0
-    # Chunk over the first axis so d=3 never materializes the full mesh.
-    rest = axes[1:]
-    if rest:
-        mesh_rest = np.meshgrid(*rest, indexing="ij")
-        rest_coords = np.stack([m.ravel() for m in mesh_rest], axis=1)
-        w_rest = weights[1]
-        for wv in weights[2:]:
-            w_rest = np.multiply.outer(w_rest, wv)
-        w_rest = w_rest.ravel()
-    else:
-        rest_coords = np.zeros((1, 0))
-        w_rest = np.ones(1)
-    n_rest = w_rest.size
-    for i0, x0 in enumerate(axes[0]):
-        pts = np.empty((n_rest, d))
-        pts[:, 0] = x0
-        if rest:
-            pts[:, 1:] = rest_coords
+    def slab_fn(pts):
         rho = np.abs(position_wavefunction(work, pts)) ** 2
         zeros = np.zeros_like(pts)
         vals = A.evaluate(pts, zeros) if side == "position" else A.evaluate(zeros, pts)
-        wcol = weights[0][i0] * w_rest
-        num += float(np.dot(wcol, vals * rho))
-        den += float(np.dot(wcol, rho))
+        return vals, rho
+
+    num, den = _grid_sums(axes, slab_fn)
     return num / den if normalized else num
 
 

@@ -57,11 +57,38 @@ def plane_axes(
     return axes
 
 
-def _trapz_weights(axis: np.ndarray) -> np.ndarray:
+def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     step = axis[1] - axis[0]
     w = np.full(axis.size, step)
     w[0] = w[-1] = step / 2.0
     return w
+
+
+def _grid_sums(axes, slab_fn) -> tuple[float, float]:
+    """(sum w f rho, sum w rho) over the tensor grid of ``axes`` with
+    trapezoid weights w.
+
+    The grid is walked in slabs of fixed first coordinate, so the full mesh
+    is never materialized.  ``slab_fn`` maps the (m, len(axes)) coordinates
+    of one slab to (f, rho).
+    """
+    weights = [_trapezoid_weights(ax) for ax in axes]
+    w_rest = np.ones(())
+    for wv in weights[1:]:
+        w_rest = np.multiply.outer(w_rest, wv)
+    w_rest = w_rest.ravel()
+    slab = np.empty((w_rest.size, len(axes)))
+    for a, mesh in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
+        slab[:, a] = mesh.ravel()
+    num = 0.0
+    den = 0.0
+    for x0, w0 in zip(axes[0], weights[0]):
+        slab[:, 0] = x0
+        f, rho = slab_fn(slab)
+        wcol = w0 * w_rest
+        num += float(np.dot(wcol, f * rho))
+        den += float(np.dot(wcol, rho))
+    return num, den
 
 
 def _observable_terms(observable, d: int):
@@ -98,7 +125,7 @@ def tensor_grid_integrals(
     grids = []
     for q_axis, p_axis in axes:
         QQ, PP = np.meshgrid(q_axis, p_axis, indexing="ij")
-        W2 = np.outer(_trapz_weights(q_axis), _trapz_weights(p_axis))
+        W2 = np.outer(_trapezoid_weights(q_axis), _trapezoid_weights(p_axis))
         grids.append((QQ, PP, W2))
 
     # Factor values per (term, plane), shared across branch pairs.
@@ -203,37 +230,15 @@ def direct_grid_integrals(
     density with the generic batched evaluators, chunking over the leading
     axis for d = 2.
     """
-    d = state.dim
-    if d > 2:
+    if state.dim > 2:
         raise ValueError("direct grid evaluation is limited to d <= 2")
-    axes = plane_axes(state, points_per_axis, padding)
     dens_fn = _density_many(state, method)
-    flat_axes = []
-    flat_weights = []
-    for q_axis, p_axis in axes:
-        flat_axes.extend([q_axis, p_axis])
-        flat_weights.extend([_trapz_weights(q_axis), _trapz_weights(p_axis)])
-    # Coordinate order (q1, p1[, q2, p2]); chunk over the first coordinate.
-    rest_mesh = np.meshgrid(*flat_axes[1:], indexing="ij")
-    rest_coords = np.stack([m.ravel() for m in rest_mesh], axis=1)
-    w_rest = flat_weights[1]
-    for wv in flat_weights[2:]:
-        w_rest = np.multiply.outer(w_rest, wv)
-    w_rest = w_rest.ravel()
-    num = 0.0
-    den = 0.0
-    for i0, x0 in enumerate(flat_axes[0]):
-        m = rest_coords.shape[0]
-        coords = np.empty((m, 2 * d))
-        coords[:, 0] = x0
-        coords[:, 1:] = rest_coords
-        Q = coords[:, 0::2]
-        P = coords[:, 1::2]
+
+    def slab_fn(coords):
+        # coordinate order (q1, p1[, q2, p2])
+        Q, P = coords[:, 0::2], coords[:, 1::2]
         rho = dens_fn(Q, P)
-        w = flat_weights[0][i0] * w_rest
-        den += float(np.dot(w, rho))
-        if observable is not None:
-            num += float(np.dot(w, observable.evaluate(Q, P) * rho))
-    if observable is None:
-        num = den
-    return num, den
+        return (np.ones_like(rho) if observable is None else observable.evaluate(Q, P)), rho
+
+    flat_axes = [ax for pair in plane_axes(state, points_per_axis, padding) for ax in pair]
+    return _grid_sums(flat_axes, slab_fn)

@@ -77,21 +77,16 @@ def _first_primes(n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     # n-th prime is below n (log n + log log n) for n >= 6.
     bound = 15 if n < 6 else int(n * (np.log(n) + np.log(np.log(n)))) + 10
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    primes = np.flatnonzero(sieve)
-    while primes.size < n:
-        bound *= 2
+    while True:
         sieve = np.ones(bound + 1, dtype=bool)
         sieve[:2] = False
         for i in range(2, int(bound**0.5) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = False
         primes = np.flatnonzero(sieve)
-    return primes[:n]
+        if primes.size >= n:
+            return primes[:n]
+        bound *= 2
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -135,6 +130,9 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
         Index of the first element (>= 1 recommended).
     leap : int
         Stride between consecutive element indices.
+
+    Indices are exact int64 integers: the last index times the largest
+    prime base in use must stay below 2**63, or a ValueError is raised.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -147,6 +145,14 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     if n < 0 or skip < 0 or leap < 1:
         raise ValueError("need n >= 0, skip >= 0, leap >= 1")
     primes = _first_primes(dim)
+    # The digit-reversed numerator in _radical_inverse stays below
+    # index * base, which must fit in int64.
+    hi = int(skip) + int(leap) * max(int(n) - 1, 0)
+    if hi * int(primes[-1]) >= 2**63:
+        raise ValueError(
+            f"Halton index bound exceeded: element index {hi} times prime base "
+            f"{int(primes[-1])} must stay below 2**63"
+        )
     indices = skip + leap * np.arange(n, dtype=np.int64)
     out = np.empty((n, dim))
     for i, b in enumerate(primes):
@@ -478,13 +484,15 @@ def estimate_expectation(
     the exact state norm, which keeps small-separation superpositions
     unbiased.
 
-    Results are bit-identical across ``workers`` settings: chunking and the
-    reduction tree depend only on (n, split).
+    Results are bit-identical across ``workers`` settings (>= 1): chunking
+    and the reduction tree depend only on (n, split).
     """
     if method not in ("mu", "husimi"):
         raise ValueError("method must be 'mu' or 'husimi'")
     if n < 2:
         raise ValueError("n must be >= 2")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if policy is None:
         policy = CrossTermPolicy(mode="neglect")
     if source is None:

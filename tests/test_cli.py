@@ -229,3 +229,20 @@ class TestSweepCommands:
 
     def test_henon_heiles_guard_exit_3(self):
         assert main(["henon-heiles", "--d-list", "128", "--n", "100000000"]) == 3
+
+
+class TestInputBoundsCommand:
+    def test_halton_index_bound_exits_2(self, capsys):
+        code = main(
+            ["expectation", "--observable", "hh-total", "--d", "2", "--n", "1000",
+             "--sampler", "halton", "--skip", str(2**60)]
+        )
+        assert code == 2
+        assert "Halton index bound" in capsys.readouterr().err
+
+    def test_zero_workers_exits_2(self, capsys):
+        code = main(
+            ["expectation", "--observable", "hh-total", "--d", "2", "--n", "1000", "--workers", "0"]
+        )
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err

@@ -343,3 +343,46 @@ class TestExpansionOrder:
             gaps.append(abs(est / den - exact))
         slope = fit_loglog_slope(h_list, gaps)
         assert 1.7 <= slope <= 2.3
+
+
+class TestPlaneKernel:
+    """Per-plane amplitude identities above d = 3, on a K = 3 superposition."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(11)
+        d = 5
+        branches = [
+            (complex(*rng.normal(size=2)), PhasePoint(0.3 * rng.normal(size=d), 0.3 * rng.normal(size=d)))
+            for _ in range(3)
+        ]
+        st = GaussianState.from_branches(0.2, branches)
+        Q, P = random_points_near(st, 200, rng)
+        return st, Q, P
+
+    @staticmethod
+    def assert_close(actual, expected):
+        # relative to the array scale: mu and Lap H change sign
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_mixture_is_mean_of_spectrograms(self, case):
+        st, Q, P = case
+        planes = [D.hermite_spectrogram_many(st, j, Q, P) for j in range(1, st.dim + 1)]
+        self.assert_close(D.hermite_mixture_many(st, Q, P), np.mean(planes, axis=0))
+
+    def test_mu_combination_from_husimi_and_mixture(self, case):
+        st, Q, P = case
+        d = st.dim
+        combined = (1.0 + d / 2.0) * D.husimi_many(st, Q, P) - (d / 2.0) * D.hermite_mixture_many(
+            st, Q, P
+        )
+        self.assert_close(D.mu_combination_many(st, Q, P), combined)
+        self.assert_close(D.mu_many(st, Q, P), combined)
+
+    def test_laplacian_from_spectrograms(self, case):
+        st, Q, P = case
+        d, h = st.dim, st.h
+        s_sum = sum(D.hermite_spectrogram_many(st, j, Q, P) for j in range(1, d + 1))
+        expected = (2.0 / h) * s_sum - (2.0 * d / h) * D.husimi_many(st, Q, P)
+        self.assert_close(D.laplacian_husimi_many(st, Q, P), expected)

@@ -100,11 +100,3 @@ class TestEngineInputs:
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
         with pytest.raises(ValueError):
             tensor_grid_integrals(st, None, "wigner")
-
-    def test_density_kind_values_accepted(self):
-        from phasespec import DensityKind
-
-        st = GaussianState.wavepacket(0.05, [0.0], [0.0])
-        via_enum = tensor_grid_integrals(st, None, DensityKind.MU, points_per_axis=100)
-        via_str = tensor_grid_integrals(st, None, "mu", points_per_axis=100)
-        assert via_enum == via_str

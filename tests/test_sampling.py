@@ -437,3 +437,23 @@ class TestEstimator:
         A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
         with pytest.raises(ValueError):
             estimate_expectation(st, A, n=100, source=PointSource(dimension=3, seed=0))
+
+
+class TestInputBounds:
+    def test_halton_index_beyond_int64_rejected(self):
+        # base 13 is the largest for dim 6; index * base must stay below 2**63
+        with pytest.raises(ValueError, match="Halton index bound"):
+            halton_points(64, 6, skip=2**60, max_dim=6)
+        with pytest.raises(ValueError, match="Halton index bound"):
+            halton_points(2, 6, skip=(2**63 - 1) // 13, max_dim=6)
+        last = (2**63 - 1) // 13
+        pts = halton_points(1, 6, skip=last, max_dim=6)[0]
+        exact = [exact_radical_inverse(last, int(b)) for b in _first_primes(6)]
+        np.testing.assert_allclose(pts, exact, rtol=0, atol=1e-15)
+
+    def test_workers_below_one_rejected(self):
+        st = GaussianState.wavepacket(0.05, [0.0], [0.0])
+        A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                estimate_expectation(st, A, n=100, workers=workers)
