@@ -97,10 +97,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, value in flag_map.items():
         if value is not None:
             merged[key] = value
-    config = RunConfig.from_dict(merged)
-    if config.force is None:
-        config.force = False
-    return config
+    return RunConfig.from_dict(merged)
 
 
 def _parse_list(text, cast):
@@ -140,6 +137,7 @@ def main(argv=None) -> int:
             table = run_accuracy_sweep(
                 points_per_axis=config.points_per_axis,
                 reference_resolution=config.reference_resolution,
+                force=config.force,
                 **kwargs,
             )
             _emit(table, config)
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
                 split=config.split,
                 alpha=config.alpha,
                 h=config.h if config.h is not None else 0.0037,
-                force=bool(config.force),
+                force=config.force,
                 workers=config.workers,
             )
             _emit(table, config)

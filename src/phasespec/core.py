@@ -97,10 +97,6 @@ class PhasePoint:
         _check_same_dim(self, other)
         return PhasePoint(self.q - other.q, self.p - other.p)
 
-    @classmethod
-    def origin(cls, d: int) -> "PhasePoint":
-        return cls(np.zeros(d), np.zeros(d))
-
 
 def _check_same_dim(a: PhasePoint, b: PhasePoint) -> None:
     if a.dim != b.dim:
@@ -196,15 +192,6 @@ class GaussianState:
     def n_branches(self) -> int:
         return self.coefficients.size
 
-    def branch(self, k: int) -> tuple[complex, PhasePoint]:
-        return (
-            complex(self.coefficients[k]),
-            PhasePoint(self.centers_q[k], self.centers_p[k]),
-        )
-
-    def branches(self):
-        return [self.branch(k) for k in range(self.n_branches)]
-
 
 def gaussian_overlap(z1: PhasePoint, z2: PhasePoint, h: float) -> complex:
     """Inner product <g_z1, g_z2> of two unit wavepackets with parameter h.
@@ -219,14 +206,14 @@ def gaussian_overlap(z1: PhasePoint, z2: PhasePoint, h: float) -> complex:
     return complex(np.exp(-d2 / (4.0 * h)) * (np.cos(phase) + 1j * np.sin(phase)))
 
 
-def overlap_matrix(state: GaussianState) -> np.ndarray:
-    """Gram matrix G[k, l] = <g_{z_k}, g_{z_l}> of the branch wavepackets."""
-    cq, cp, h = state.centers_q, state.centers_p, state.h
-    dq = cq[:, None, :] - cq[None, :, :]
-    dp = cp[:, None, :] - cp[None, :, :]
+def _overlap_factors(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """O[i, k] = <g_{w_i}, g_{z_k}> for evaluation points w_i = (Q[i], P[i])."""
+    h = state.h
+    dq = Q[:, None, :] - state.centers_q[None, :, :]
+    dp = P[:, None, :] - state.centers_p[None, :, :]
     dist2 = np.sum(dq * dq + dp * dp, axis=-1)
-    # sigma(z_k, z_l) = q_k . p_l - p_k . q_l
-    sig = cq @ cp.T - cp @ cq.T
+    # sigma(w, z_k) = Q . p_k - P . q_k
+    sig = Q @ state.centers_p.T - P @ state.centers_q.T
     return np.exp(-dist2 / (4.0 * h) + 1j * sig / (2.0 * h))
 
 
@@ -237,5 +224,5 @@ def state_norm2(state: GaussianState) -> float:
     permutation of the branches.
     """
     c = state.coefficients
-    val = np.conj(c) @ overlap_matrix(state) @ c
+    val = np.conj(c) @ _overlap_factors(state, state.centers_q, state.centers_p) @ c
     return float(val.real)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, PhasePoint
+from .core import GaussianState, PhasePoint, _overlap_factors
 
 __all__ = [
     "CrossTermPolicy",
@@ -106,17 +106,6 @@ def _points(Q, P, d: int) -> tuple[np.ndarray, np.ndarray]:
     if Q.shape != P.shape or Q.ndim != 2 or Q.shape[1] != d:
         raise ValueError(f"evaluation points must be (m, {d}) arrays")
     return Q, P
-
-
-def _overlap_factors(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """O[i, k] = <g_{w_i}, g_{z_k}> for evaluation points w_i = (Q[i], P[i])."""
-    h = state.h
-    dq = Q[:, None, :] - state.centers_q[None, :, :]
-    dp = P[:, None, :] - state.centers_p[None, :, :]
-    dist2 = np.sum(dq * dq + dp * dp, axis=-1)
-    # sigma(w, z_k) = Q . p_k - P . q_k
-    sig = Q @ state.centers_p.T - P @ state.centers_q.T
-    return np.exp(-dist2 / (4.0 * h) + 1j * sig / (2.0 * h))
 
 
 def husimi_many(state: GaussianState, Q, P) -> np.ndarray:

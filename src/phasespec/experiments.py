@@ -16,7 +16,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -61,8 +61,11 @@ __all__ = [
 DEFAULT_H_LIST = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 DEFAULT_D_LIST = (2, 8, 32)
 # Rough single-thread cost model for the resource guard: seconds per
-# (sample x uniform coordinate).
+# (sample x uniform coordinate), and seconds per (marginal-grid point x
+# branch) of reference_expectation_grid (1.1-1.3e-7 measured at d = 2, 3
+# and K = 1, 2).
 COST_PER_COORD_SECONDS = 1.5e-7
+GRID_COST_PER_POINT_SECONDS = 1.2e-7
 TIME_BUDGET_SECONDS = 600.0
 
 
@@ -114,10 +117,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """Build a config, refusing unknown keys and values whose type does
+        not match the field (an int is accepted where a float is expected)."""
+        hints = get_type_hints(cls)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            allowed = get_args(hints[key]) or (hints[key],)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+                raise ValueError(f"config value {key}={value!r} is not of type {cls.__dataclass_fields__[key].type}")
         return cls(**data)
 
     def point_source(self, dimension: int) -> PointSource:
@@ -177,8 +188,18 @@ def projected_seconds(n: int, d: int) -> float:
     return float(n) * (2 * d + 2) * COST_PER_COORD_SECONDS
 
 
+def _projected_grid_seconds(resolution: int, state: GaussianState) -> float:
+    """Cost-model projection of one marginal-grid reference: resolution**d
+    points, each summing the K branch wavefunctions."""
+    return float(resolution) ** state.dim * state.n_branches * GRID_COST_PER_POINT_SECONDS
+
+
 def check_resource_budget(n: int, d_values, force: bool) -> float:
     total = sum(projected_seconds(n, d) for d in np.atleast_1d(d_values))
+    return _require_budget(total, force)
+
+
+def _require_budget(total: float, force: bool) -> float:
     if total > TIME_BUDGET_SECONDS and not force:
         raise ResourceGuardError(
             f"projected run time {total:.0f}s exceeds the {TIME_BUDGET_SECONDS:.0f}s "
@@ -292,9 +313,9 @@ def run_accuracy_sweep(
     observable_labels=("torsional", "quartic-momentum"),
     points_per_axis: int = 160,
     reference_resolution: int = 2048,
-    state_builder: Callable[[float], GaussianState] | None = None,
     use_sampler: bool = False,
     sampler_config: RunConfig | None = None,
+    force: bool = False,
 ) -> SweepResult:
     """Errors of grid-quadrature expectations of A against mu and the Husimi
     density, swept over h, with fitted log-log slopes per (method,
@@ -303,18 +324,25 @@ def run_accuracy_sweep(
     Estimates use full tensor-grid quadrature (interference included); the
     reference is the exact marginal-density quadrature.  Slopes are reported
     only when every error in the fit exceeds 10x the estimated quadrature
-    (or sampling) noise floor.
+    (or sampling) noise floor.  The projected cost of the references (and of
+    the sampled estimates) is checked against the resource budget first.
     """
     h_list = sorted({float(h) for h in h_list}, reverse=True)
     if any(h <= 0 for h in h_list):
         raise ValueError("h values must be positive")
-    if state_builder is None:
-        state_builder = benchmark_superposition
+    cfg = sampler_config or RunConfig()
+    states = [benchmark_superposition(h) for h in h_list]
+    n_estimates = len(methods) * len(observable_labels) if use_sampler else 0
+    projected = sum(
+        len(observable_labels) * _projected_grid_seconds(reference_resolution, st)
+        + n_estimates * projected_seconds(cfg.resolved_n(), st.dim)
+        for st in states
+    )
+    _require_budget(projected, force)
     rows = []
     errors: dict[tuple, list] = {}
     floors_ok: dict[tuple, bool] = {}
-    for h in h_list:
-        state = state_builder(h)
+    for h, state in zip(h_list, states):
         # entries may be labels or d -> Observable factories (e.g. degree-<=3
         # polynomial control rows, whose mu error sits at the quadrature floor)
         observables = [
@@ -335,7 +363,6 @@ def run_accuracy_sweep(
             for A in observables:
                 t0 = time.perf_counter()
                 if use_sampler:
-                    cfg = sampler_config or RunConfig()
                     source = cfg.point_source(2 * state.dim + 2)
                     # the benchmark superposition has non-negligible
                     # interference at the large-h end, so the demonstration
@@ -466,7 +493,10 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float]
     state = resolve_state(config)
     A = resolve_observable(config, state.dim)
     n = config.resolved_n()
-    check_resource_budget(n, [state.dim], config.force)
+    exact_reference = A.polynomial is not None and state.n_branches == 1
+    side = None if exact_reference or state.dim > 3 else _SIDE_FOR.get(A.depends_on())
+    grid_seconds = 0.0 if side is None else _projected_grid_seconds(config.reference_resolution, state)
+    _require_budget(projected_seconds(n, state.dim) + grid_seconds, config.force)
     source = config.point_source(2 * state.dim + 2)
     policy = CrossTermPolicy(mode="neglect", threshold=config.threshold)
     result = estimate_expectation(
@@ -480,14 +510,12 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float]
         workers=config.workers,
     )
     reference = None
-    if A.polynomial is not None and state.n_branches == 1:
+    if exact_reference:
         reference = weyl_expectation_gaussian(A, state)
-    else:
-        side = _SIDE_FOR.get(A.depends_on())
-        if side is not None and state.dim <= 3:
-            reference = reference_expectation_grid(
-                state, A, side, resolution=config.reference_resolution
-            )
+    elif side is not None:
+        reference = reference_expectation_grid(
+            state, A, side, resolution=config.reference_resolution
+        )
     abs_err = None if reference is None else abs(result.value - reference)
     rel_err = None if reference in (None, 0.0) else abs_err / abs(reference)
     rows = [

@@ -400,12 +400,13 @@ def momentum_space_state(state: GaussianState) -> GaussianState:
     )
 
 
-def _marginal_axes(state: GaussianState, centers: np.ndarray, resolution: int, padding_sigmas: float):
-    sigma = np.sqrt(state.h / 2.0)
+def _marginal_axes(state: GaussianState, centers: np.ndarray, resolution: int):
+    """Per-axis grids over the center hull plus 12 marginal standard deviations."""
+    pad = 12.0 * np.sqrt(state.h / 2.0)
     axes = []
     for i in range(state.dim):
-        lo = centers[:, i].min() - padding_sigmas * sigma
-        hi = centers[:, i].max() + padding_sigmas * sigma
+        lo = centers[:, i].min() - pad
+        hi = centers[:, i].max() + pad
         axes.append(np.linspace(lo, hi, resolution))
     return axes
 
@@ -415,7 +416,6 @@ def reference_expectation_grid(
     A: Observable,
     side: str,
     resolution: int = 2048,
-    padding_sigmas: float = 12.0,
     normalized: bool = True,
 ) -> float:
     """Expectation of a one-sided observable by marginal-density grid
@@ -447,7 +447,7 @@ def reference_expectation_grid(
             f"marginal grid reference supports d <= 3, got d={d}"
         )
     work = state if side == "position" else momentum_space_state(state)
-    axes = _marginal_axes(work, work.centers_q, resolution, padding_sigmas)
+    axes = _marginal_axes(work, work.centers_q, resolution)
 
     def slab_fn(pts):
         rho = np.abs(position_wavefunction(work, pts)) ** 2

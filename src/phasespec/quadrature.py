@@ -38,13 +38,10 @@ __all__ = [
 ]
 
 
-def plane_axes(
-    state: GaussianState, points_per_axis: int = 160, padding: float | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def plane_axes(state: GaussianState, points_per_axis: int = 160) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-plane (q_axis, p_axis) covering the branch hull plus a margin of
-    ``padding`` (default 12 sqrt(h), where the densities are below 1e-30)."""
-    if padding is None:
-        padding = 12.0 * np.sqrt(state.h)
+    12 sqrt(h), where the densities are below 1e-30."""
+    padding = 12.0 * np.sqrt(state.h)
     axes = []
     for j in range(state.dim):
         qlo = state.centers_q[:, j].min() - padding
@@ -108,7 +105,6 @@ def tensor_grid_integrals(
     observable,
     method: str = "mu",
     points_per_axis: int = 160,
-    padding: float | None = None,
 ) -> tuple[float, float]:
     """(integral of A * density, integral of density) on the tensor grid.
 
@@ -119,7 +115,7 @@ def tensor_grid_integrals(
         raise ValueError(f"unknown method {method!r}")
     d, h = state.dim, state.h
     c = state.coefficients
-    axes = plane_axes(state, points_per_axis, padding)
+    axes = plane_axes(state, points_per_axis)
     terms = _observable_terms(observable, d)
 
     grids = []
@@ -200,10 +196,9 @@ def tensor_grid_expectation(
     observable,
     method: str = "mu",
     points_per_axis: int = 160,
-    padding: float | None = None,
 ) -> float:
     """Normalized expectation integral(A rho) / integral(rho) on the grid."""
-    num, den = tensor_grid_integrals(state, observable, method, points_per_axis, padding)
+    num, den = tensor_grid_integrals(state, observable, method, points_per_axis)
     return num / den
 
 
@@ -222,7 +217,6 @@ def direct_grid_integrals(
     observable,
     method: str = "mu",
     points_per_axis: int = 60,
-    padding: float | None = None,
 ) -> tuple[float, float]:
     """Literal pointwise summation over the same tensor grid (d <= 2 only).
 
@@ -240,5 +234,5 @@ def direct_grid_integrals(
         rho = dens_fn(Q, P)
         return (np.ones_like(rho) if observable is None else observable.evaluate(Q, P)), rho
 
-    flat_axes = [ax for pair in plane_axes(state, points_per_axis, padding) for ax in pair]
+    flat_axes = [ax for pair in plane_axes(state, points_per_axis) for ax in pair]
     return _grid_sums(flat_axes, slab_fn)

@@ -246,3 +246,26 @@ class TestInputBoundsCommand:
         )
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+
+
+class TestGridReferenceGuard:
+    """The marginal-grid reference is projected before any work starts."""
+
+    def test_expectation_d3_grid_reference_exits_3(self, capsys):
+        code = main(["expectation", "--observable", "torsional", "--d", "3"])
+        assert code == 3
+        assert "resource guard" in capsys.readouterr().err
+
+    def test_accuracy_sweep_oversized_reference_exits_3(self, capsys):
+        code = main(["accuracy-sweep", "--reference-resolution", "100000"])
+        assert code == 3
+        assert "resource guard" in capsys.readouterr().err
+
+
+class TestConfigValueTypes:
+    def test_mistyped_values_exit_2(self, tmp_path, capsys):
+        for i, cfg in enumerate(({"d": "3"}, {"split": "0.5"}, {"workers": 1.5})):
+            path = tmp_path / f"typed{i}.json"
+            path.write_text(json.dumps({"observable": "hh-total", "n": 1000, **cfg}))
+            assert main(["expectation", "--config", str(path)]) == 2, cfg
+            assert "is not of type" in capsys.readouterr().err

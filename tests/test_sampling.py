@@ -151,6 +151,34 @@ class TestGamma2InverseCdf:
             gamma2_inverse_cdf(1.0)
 
 
+class TestGamma2Tails:
+    """Both tails against 40-digit mpmath values."""
+
+    def test_inverse_cdf_tails(self):
+        import mpmath
+
+        mpmath.mp.dps = 40
+        for u in (2.0**-54, 1e-14, 1 - 1e-12, 1 - 2.0**-53):
+            # bisection for F(x) = 1 - (1 + x) e^{-x} = u on [0, 60]
+            lo, hi = mpmath.mpf(0), mpmath.mpf(60)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if 1 - (1 + mid) * mpmath.exp(-mid) < u:
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(gamma2_inverse_cdf(u) / float(lo) - 1.0) < 1e-13, u
+
+    def test_cdf_small_argument_and_negative(self):
+        import mpmath
+
+        mpmath.mp.dps = 40
+        for x in (1e-9, 1e-6):
+            exact = float(1 - (1 + mpmath.mpf(x)) * mpmath.exp(-mpmath.mpf(x)))
+            assert abs(gamma2_cdf(x) / exact - 1.0) < 1e-13, x
+        assert gamma2_cdf(-1.0) == 0.0
+
+
 class TestPointSource:
     def test_block_matches_slicing(self):
         src = PointSource(dimension=5, seed=123)
@@ -450,6 +478,14 @@ class TestInputBounds:
         pts = halton_points(1, 6, skip=last, max_dim=6)[0]
         exact = [exact_radical_inverse(last, int(b)) for b in _first_primes(6)]
         np.testing.assert_allclose(pts, exact, rtol=0, atol=1e-15)
+
+    def test_halton_exact_up_to_2_53_edge(self):
+        # index * 13 < 2**53 keeps base**K and the numerator exact doubles
+        last = (2**53 - 1) // 13
+        pts = halton_points(64, 6, skip=last - 63, max_dim=6)
+        for row, idx in zip(pts, range(last - 63, last + 1)):
+            exact = [exact_radical_inverse(idx, int(b)) for b in _first_primes(6)]
+            assert row.tolist() == exact
 
     def test_workers_below_one_rejected(self):
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
