@@ -63,9 +63,16 @@ DEFAULT_D_LIST = (2, 8, 32)
 # Rough single-thread cost model for the resource guard: seconds per
 # (sample x uniform coordinate), and seconds per (marginal-grid point x
 # branch) of reference_expectation_grid (1.1-1.3e-7 measured at d = 2, 3
-# and K = 1, 2).
+# and K = 1, 2; 1.1-1.5e-7 on the accuracy sweep's K = 2, d = 2 references
+# at resolution 2048).
 COST_PER_COORD_SECONDS = 1.5e-7
-GRID_COST_PER_POINT_SECONDS = 1.2e-7
+# Seconds per (sample x uniform coordinate) of one exact-policy
+# (importance-weighted) estimator pass over two observables on the
+# two-branch d = 2 benchmark superposition: 2.6-3.0e-7 measured for the mu
+# method and 1.9-2.1e-7 for the husimi method at n = 1e5 and 4e5 on a
+# 2-core Xeon host, plus headroom for host drift.
+EXACT_COST_PER_COORD_SECONDS = 4e-7
+GRID_COST_PER_POINT_SECONDS = 1.6e-7
 TIME_BUDGET_SECONDS = 600.0
 
 
@@ -141,17 +148,32 @@ class RunConfig:
         return default if self.n is None else int(self.n)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _branch_from_record(rec) -> tuple[complex, PhasePoint]:
+    """(coefficient, center) of one ``branches`` config entry: an object with
+    lists ``q`` and ``p`` of d reals and an optional ``coeff`` that is a real
+    or a [real, imaginary] pair (default 1)."""
+    if not isinstance(rec, dict) or not {"q", "p"} <= rec.keys() or rec.keys() - {"q", "p", "coeff"}:
+        raise ValueError(f"branch entry {rec!r} must be an object with keys q, p and optional coeff")
+    for key in ("q", "p"):
+        if not isinstance(rec[key], list) or not all(_is_real(x) for x in rec[key]):
+            raise ValueError(f"branch {key} must be a list of numbers, got {rec[key]!r}")
+    coeff = rec.get("coeff", 1.0)
+    if isinstance(coeff, list) and len(coeff) == 2 and all(_is_real(x) for x in coeff):
+        coeff = complex(coeff[0], coeff[1])
+    elif not _is_real(coeff):
+        raise ValueError(f"branch coeff must be a number or a [real, imag] pair, got {coeff!r}")
+    return complex(coeff), PhasePoint(rec["q"], rec["p"])
+
+
 def resolve_state(config: RunConfig) -> GaussianState:
     """Build the Gaussian state described by the configuration."""
     if config.branches:
         h = config.h if config.h is not None else 0.01
-        branches = []
-        for rec in config.branches:
-            coeff = rec.get("coeff", 1.0)
-            if isinstance(coeff, (list, tuple)):
-                coeff = complex(coeff[0], coeff[1])
-            branches.append((complex(coeff), PhasePoint(rec["q"], rec["p"])))
-        return GaussianState.from_branches(h, branches)
+        return GaussianState.from_branches(h, [_branch_from_record(rec) for rec in config.branches])
     preset = config.state
     if preset is None:
         if config.experiment == "accuracy-sweep":
@@ -332,10 +354,11 @@ def run_accuracy_sweep(
         raise ValueError("h values must be positive")
     cfg = sampler_config or RunConfig()
     states = [benchmark_superposition(h) for h in h_list]
-    n_estimates = len(methods) * len(observable_labels) if use_sampler else 0
+    # sampler mode reads one stream per (h, method) for all observables
+    n_streams = len(methods) if use_sampler else 0
     projected = sum(
         len(observable_labels) * _projected_grid_seconds(reference_resolution, st)
-        + n_estimates * projected_seconds(cfg.resolved_n(), st.dim)
+        + n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
         for st in states
     )
     _require_budget(projected, force)
@@ -360,33 +383,35 @@ def run_accuracy_sweep(
                 state, A, side, resolution=reference_resolution
             )
         for method in methods:
-            for A in observables:
+            # (estimate, noise floor, n, wall time) per observable
+            if use_sampler:
                 t0 = time.perf_counter()
-                if use_sampler:
-                    source = cfg.point_source(2 * state.dim + 2)
-                    # the benchmark superposition has non-negligible
-                    # interference at the large-h end, so the demonstration
-                    # sampler runs the importance-weighted exact policy
-                    result = estimate_expectation(
-                        state,
-                        A,
-                        method=method,
-                        n=cfg.resolved_n(),
-                        source=source,
-                        split=cfg.split,
-                        policy=CrossTermPolicy(mode="exact"),
-                        workers=cfg.workers,
-                    )
-                    estimate = result.value
-                    floor = 3.0 * result.stderr + 1e-12
-                    n_used = cfg.resolved_n()
-                else:
+                # the benchmark superposition has non-negligible interference
+                # at the large-h end, so the demonstration sampler runs the
+                # importance-weighted exact policy
+                results = estimate_expectation(
+                    state,
+                    observables,
+                    method=method,
+                    n=cfg.resolved_n(),
+                    source=cfg.point_source(2 * state.dim + 2),
+                    split=cfg.split,
+                    policy=CrossTermPolicy(mode="exact"),
+                    workers=cfg.workers,
+                )
+                wall = time.perf_counter() - t0
+                outcomes = [(r.value, 3.0 * r.stderr + 1e-12, cfg.resolved_n(), wall) for r in results]
+            else:
+                outcomes = []
+                for A in observables:
+                    t0 = time.perf_counter()
                     estimate = tensor_grid_expectation(
                         state, A, method=method, points_per_axis=points_per_axis
                     )
+                    wall = time.perf_counter() - t0
                     floor = 1e-12 * max(1.0, abs(refs[A.label]))
-                    n_used = points_per_axis ** (2 * state.dim)
-                wall = time.perf_counter() - t0
+                    outcomes.append((estimate, floor, points_per_axis ** (2 * state.dim), wall))
+            for A, (estimate, floor, n_used, wall) in zip(observables, outcomes):
                 ref = refs[A.label]
                 abs_err = abs(estimate - ref)
                 rel_err = abs_err / abs(ref)
@@ -442,6 +467,8 @@ def run_henon_heiles(
     The potential is a degree-3 polynomial, so the moment-formula reference
     is exact and every reported error is pure sampling error.
     """
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in d_list):
+        raise ValueError(f"d_list entries must be integers, got {list(d_list)!r}")
     d_list = [int(d) for d in d_list]
     if any(d < 2 or d > 128 for d in d_list):
         raise ValueError("d_list entries must lie in 2..128")
@@ -456,13 +483,14 @@ def run_henon_heiles(
         total = henon_heiles_total(spec)
         source = stream.point_source(2 * d + 2)
         generator = source.generator_id
-        for A in (kinetic, potential, total):
+        energies = (kinetic, potential, total)
+        t0 = time.perf_counter()
+        results = estimate_expectation(
+            state, energies, method="mu", n=n, source=source, split=split, workers=workers
+        )
+        wall = time.perf_counter() - t0
+        for A, result in zip(energies, results):
             reference = weyl_expectation_gaussian(A, state)
-            t0 = time.perf_counter()
-            result = estimate_expectation(
-                state, A, method="mu", n=n, source=source, split=split, workers=workers
-            )
-            wall = time.perf_counter() - t0
             abs_err = abs(result.value - reference)
             rel_err = abs_err / abs(reference)
             rows.append((d, "mu", A.label, result.value, reference, abs_err, rel_err, n, wall))

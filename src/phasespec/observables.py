@@ -485,8 +485,15 @@ def observable_from_polynomial_records(records, d: int) -> Observable:
     over the 2d variables (q_1..q_d, p_1..p_d)."""
     terms = []
     for rec in records:
+        if not isinstance(rec, (list, tuple)) or len(rec) != 2:
+            raise ValueError(f"polynomial record {rec!r} must be [coeff, exponents]")
         coeff, exps = rec
-        exps = list(exps)
+        if not isinstance(coeff, (int, float, np.integer, np.floating)) or isinstance(coeff, bool):
+            raise ValueError(f"polynomial coefficient must be a number, got {coeff!r}")
+        if not isinstance(exps, (list, tuple, np.ndarray)) or not all(
+            isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in exps
+        ):
+            raise ValueError(f"polynomial exponents must be a list of integers, got {exps!r}")
         if len(exps) != 2 * d:
             raise ValueError(
                 f"polynomial record needs {2 * d} exponents for d={d}, got {len(exps)}"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv, ndtri
@@ -435,19 +435,25 @@ def _proposal_hermite(state: GaussianState, Q, P) -> np.ndarray:
 
 def estimate_expectation(
     state: GaussianState,
-    A: Observable,
+    A: Observable | Sequence[Observable],
     method: str = "mu",
     n: int = 100_000,
     source: PointSource | None = None,
     split: float = 0.5,
     policy: CrossTermPolicy | None = None,
     workers: int = 1,
-) -> EstimatorResult:
+) -> EstimatorResult | list[EstimatorResult]:
     """Estimate the normalized expectation of A in ``state`` by sampling.
 
     ``method='mu'`` runs the two-stream signed estimator with ``round(n *
     split)`` Husimi points and the rest Hermite points; ``method='husimi'``
     averages A over n Husimi samples only (first-order accurate).
+
+    ``A`` is one observable, which returns one result, or a non-empty
+    sequence of observables, which returns a list of results in input
+    order.  Every observable of a sequence is evaluated on the same points,
+    so the stream (and, under the exact policy, the importance weights) is
+    built once per chunk, and each result equals that of a single call.
 
     Under the default neglect policy the estimate is normalized by the
     branch weight total, which equals the state norm up to the policy's
@@ -460,6 +466,10 @@ def estimate_expectation(
     Results are bit-identical across ``workers`` settings (>= 1): chunking
     and the reduction tree depend only on (n, split).
     """
+    single = isinstance(A, Observable)
+    observables = [A] if single else list(A)
+    if not observables:
+        raise ValueError("need at least one observable")
     if method not in ("mu", "husimi"):
         raise ValueError("method must be 'mu' or 'husimi'")
     if n < 2:
@@ -495,8 +505,8 @@ def estimate_expectation(
         plan = [("husimi", 0, n)]
 
     def run_chunk(component: str, s: int, e: int) -> np.ndarray:
+        """(count, sum, sum of squares) of every observable on one chunk."""
         Q, P, _, _ = _component_arrays(state, component, s, e - s, source)
-        vals = A.evaluate(Q, P)
         if exact_mode:
             if component == "husimi":
                 target = husimi_many(state, Q, P)
@@ -504,8 +514,14 @@ def estimate_expectation(
             else:
                 target = hermite_mixture_many(state, Q, P)
                 proposal = _proposal_hermite(state, Q, P)
-            vals = vals * target / (proposal * norm)
-        return np.array([e - s, np.sum(vals), np.sum(vals * vals)])
+            denom = proposal * norm
+        rows = []
+        for obs in observables:
+            vals = obs.evaluate(Q, P)
+            if exact_mode:
+                vals = vals * target / denom
+            rows.append((e - s, np.sum(vals), np.sum(vals * vals)))
+        return np.array(rows)
 
     tasks = [(comp, s, e) for comp, lo, hi in plan for s, e in _chunk_ranges(lo, hi)]
     if workers > 1 and len(tasks) > 1:
@@ -525,32 +541,35 @@ def estimate_expectation(
         var = max(acc[2] / count - mean * mean, 0.0) * count / max(count - 1, 1)
         return count, mean, var
 
-    cnt_h, mean_h, var_h = moments(stats["husimi"])
-    if method == "mu":
-        cnt_s, mean_s, var_s = moments(stats["hermite-mixture"])
-        w_h, w_s = 1.0 + d / 2.0, d / 2.0
-        value = w_h * mean_h - w_s * mean_s
-        variance = w_h**2 * var_h / cnt_h + w_s**2 * var_s / cnt_s
-        mean_hermite: Optional[float] = mean_s
-        n_hermite = cnt_s
-    else:
-        value = mean_h
-        variance = var_h / cnt_h
-        mean_hermite = None
-        n_hermite = 0
-    stderr = 0.0 if source.deterministic else float(np.sqrt(variance))
-    if not np.isfinite(value):
-        raise NonFiniteResultError(
-            f"estimate of {A.label!r} is not finite (value={value!r})"
-        )
-    return EstimatorResult(
-        value=float(value),
-        stderr=stderr,
-        n_husimi=cnt_h,
-        n_hermite=n_hermite,
-        mean_husimi=float(mean_h),
-        mean_hermite=None if mean_hermite is None else float(mean_hermite),
-        method=method,
-        deterministic=source.deterministic,
-        generator=source.generator_id,
-    )
+    out = []
+    for i, obs in enumerate(observables):
+        cnt_h, mean_h, var_h = moments(stats["husimi"][i])
+        if method == "mu":
+            cnt_s, mean_s, var_s = moments(stats["hermite-mixture"][i])
+            w_h, w_s = 1.0 + d / 2.0, d / 2.0
+            value = w_h * mean_h - w_s * mean_s
+            variance = w_h**2 * var_h / cnt_h + w_s**2 * var_s / cnt_s
+            mean_hermite: Optional[float] = mean_s
+            n_hermite = cnt_s
+        else:
+            value = mean_h
+            variance = var_h / cnt_h
+            mean_hermite = None
+            n_hermite = 0
+        stderr = 0.0 if source.deterministic else float(np.sqrt(variance))
+        if not np.isfinite(value):
+            raise NonFiniteResultError(
+                f"estimate of {obs.label!r} is not finite (value={value!r})"
+            )
+        out.append(EstimatorResult(
+            value=float(value),
+            stderr=stderr,
+            n_husimi=cnt_h,
+            n_hermite=n_hermite,
+            mean_husimi=float(mean_h),
+            mean_hermite=None if mean_hermite is None else float(mean_hermite),
+            method=method,
+            deterministic=source.deterministic,
+            generator=source.generator_id,
+        ))
+    return out[0] if single else out

@@ -269,3 +269,20 @@ class TestConfigValueTypes:
             path.write_text(json.dumps({"observable": "hh-total", "n": 1000, **cfg}))
             assert main(["expectation", "--config", str(path)]) == 2, cfg
             assert "is not of type" in capsys.readouterr().err
+
+
+class TestConfigEntries:
+    def test_malformed_nested_entries_exit_2(self, tmp_path, capsys):
+        cases = [
+            ("expectation", {"branches": [1], "observable": "torsional"}),
+            ("expectation", {"branches": [{"q": [0.0, 0.0]}], "observable": "torsional"}),
+            ("expectation", {"observable_polynomial": [1], "d": 1}),
+            ("expectation", {"observable_polynomial": [[1.0, [1.5, 0]]], "d": 1}),
+            ("henon-heiles", {"d_list": [2.5], "n": 100}),
+        ]
+        for i, (command, cfg) in enumerate(cases):
+            path = tmp_path / f"entries{i}.json"
+            path.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(path)]) == 2, cfg
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err, cfg

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from phasespec import (
     CrossTermPolicy,
@@ -386,3 +387,34 @@ class TestPlaneKernel:
         s_sum = sum(D.hermite_spectrogram_many(st, j, Q, P) for j in range(1, d + 1))
         expected = (2.0 / h) * s_sum - (2.0 * d / h) * D.husimi_many(st, Q, P)
         self.assert_close(D.laplacian_husimi_many(st, Q, P), expected)
+
+
+class TestDensityIdentityProperty:
+    """mu = H - (h/4) Lap H over random superpositions and points."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        K=strategies.integers(1, 3),
+        d=strategies.integers(1, 3),
+        h=strategies.floats(1e-3, 0.3),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_mu_combination_is_husimi_minus_laplacian(self, K, d, h, seed):
+        rng = np.random.default_rng(seed)
+        branches = [
+            (
+                complex(*rng.uniform(-1.0, 1.0, size=2)),
+                PhasePoint(rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0, size=d)),
+            )
+            for _ in range(K)
+        ]
+        try:
+            state = GaussianState.from_branches(h, branches)
+        except ValueError:
+            assume(False)  # a zero-norm draw is not a state
+        Q, P = random_points_near(state, 50, rng)
+        expected = D.husimi_many(state, Q, P) - (h / 4.0) * D.laplacian_husimi_many(state, Q, P)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(
+            D.mu_combination_many(state, Q, P), expected, rtol=1e-12, atol=1e-12 * scale
+        )

@@ -250,3 +250,83 @@ class TestSlopeFit:
         hs = (0.1, 0.05, 0.025)
         errs = [3.0 * h**2 for h in hs]
         assert fit_loglog_slope(hs, errs) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestSharedEstimates:
+    def test_henon_heiles_reads_each_chunk_once(self, monkeypatch):
+        from phasespec.sampling import PointSource
+
+        calls = []
+        original = PointSource.uniform_block
+
+        def counting(self, start, count):
+            calls.append((self.dimension, start, count))
+            return original(self, start, count)
+
+        monkeypatch.setattr(PointSource, "uniform_block", counting)
+        res = run_henon_heiles(d_list=(2, 8), n=2**17)
+        # per d: 2**16 Husimi and 2**16 Hermite points, two chunks each
+        assert len(calls) == 8
+        assert len(set(calls)) == 8
+        walls = res.column("wall_time_s")
+        assert walls[0] == walls[1] == walls[2] and walls[3] == walls[4] == walls[5]
+
+    def test_sampled_sweep_shares_one_call_per_method(self):
+        from phasespec.densities import CrossTermPolicy
+        from phasespec.observables import observable_from_label
+        from phasespec.sampling import estimate_expectation
+
+        cfg = RunConfig(sampler="mc", n=4000, seed=3)
+        res = run_accuracy_sweep(
+            h_list=(0.1,), reference_resolution=256, use_sampler=True, sampler_config=cfg
+        )
+        state = benchmark_superposition(0.1)
+        for i, (method, label, estimate) in enumerate(
+            zip(res.column("method"), res.column("observable"), res.column("estimate"))
+        ):
+            single = estimate_expectation(
+                state, observable_from_label(label, 2), method=method, n=4000,
+                source=cfg.point_source(6), policy=CrossTermPolicy(mode="exact"),
+            )
+            assert estimate == single.value
+        walls = res.column("wall_time_s")
+        assert walls[0] == walls[1] and walls[2] == walls[3]
+
+
+class TestConfigEntries:
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            [1],
+            [{"q": [0.0]}],
+            [{"q": [0.0], "p": [0.0, 1.0]}],
+            [{"q": "0", "p": [0.0]}],
+            [{"q": [0.0], "p": [0.0], "coeff": [1.0]}],
+            [{"q": [0.0], "p": [0.0], "coeff": "1"}],
+            [{"q": [0.0], "p": [0.0], "coef": 2.0}],
+        ],
+    )
+    def test_malformed_branches_refused(self, branches):
+        with pytest.raises(ValueError):
+            resolve_state(RunConfig(branches=branches))
+
+    @pytest.mark.parametrize(
+        "records",
+        [[1], [[1.0]], [[1.0, [1, 0], 3]], [["1", [1, 0]]], [[True, [1, 0]]], [[1.0, [1.5, 0]]], [[1.0, 1]]],
+    )
+    def test_malformed_polynomial_records_refused(self, records):
+        with pytest.raises(ValueError):
+            resolve_observable(RunConfig(observable_polynomial=records), 1)
+
+    def test_well_formed_entries_accepted(self):
+        st = resolve_state(RunConfig(branches=[
+            {"q": [0, 1], "p": [0.5, 0]}, {"q": [3, 0], "p": [0, 3], "coeff": [0, 1]},
+        ]))
+        assert st.coefficients.tolist() == [1.0, 1j]
+        A = resolve_observable(RunConfig(observable_polynomial=[[2, [1, 0, 0, 0]]]), 2)
+        assert A.polynomial.terms == ((2.0, (1, 0, 0, 0)),)
+
+    def test_non_integer_d_list_refused(self):
+        for d_list in ([2.5], [2.0], ["2"], [True]):
+            with pytest.raises(ValueError, match="integers"):
+                run_henon_heiles(d_list=d_list, n=100)

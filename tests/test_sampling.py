@@ -493,3 +493,45 @@ class TestInputBounds:
         for workers in (0, -2):
             with pytest.raises(ValueError, match="workers"):
                 estimate_expectation(st, A, n=100, workers=workers)
+
+
+class TestSharedStream:
+    """A sequence of observables reads each chunk once and returns, per
+    observable, the result of a single-observable call bit for bit."""
+
+    @staticmethod
+    def state():
+        # two d = 2 branches far enough apart for the neglect policy
+        return GaussianState.from_branches(
+            0.05,
+            [
+                (1.0, PhasePoint([0.0, 0.3], [0.2, 0.0])),
+                (0.5j, PhasePoint([4.0, -0.5], [-0.3, 4.0])),
+            ],
+        )
+
+    @pytest.mark.parametrize("kind", ["halton", "pseudo-random"])
+    @pytest.mark.parametrize("mode", ["neglect", "exact"])
+    @pytest.mark.parametrize("method", ["mu", "husimi"])
+    def test_sequence_matches_single_calls(self, kind, mode, method):
+        st = self.state()
+        observables = [
+            observable_from_polynomial_records([[1.0, [2, 0, 0, 1]], [0.5, [0, 1, 0, 0]]], 2),
+            torsional_potential(2),
+        ]
+        source = PointSource(dimension=6, kind=kind, seed=7)
+        # two chunks per component, so the pairwise reduction is exercised
+        kwargs = dict(
+            method=method, n=2 * CHUNK_SIZE + 1000, source=source,
+            policy=CrossTermPolicy(mode=mode),
+        )
+        singles = [estimate_expectation(st, A, **kwargs) for A in observables]
+        for workers in (1, 2):
+            shared = estimate_expectation(st, tuple(observables), workers=workers, **kwargs)
+            assert isinstance(shared, list)
+            assert shared == singles
+
+    def test_empty_sequence_refused(self):
+        st = GaussianState.wavepacket(0.05, [0.0], [0.0])
+        with pytest.raises(ValueError, match="at least one observable"):
+            estimate_expectation(st, [], n=100)
