@@ -24,6 +24,7 @@ import sys
 from . import __version__
 from .exceptions import NonFiniteResultError, ResourceGuardError
 from .experiments import (
+    DEFAULT_D_LIST,
     RunConfig,
     base_metadata,
     run_accuracy_sweep,
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
             _emit(table, config)
         elif config.experiment == "accuracy-sweep":
             kwargs = {}
-            if config.h_list:
+            if config.h_list is not None:
                 kwargs["h_list"] = config.h_list
             if config.sampler is not None:
                 # demonstration mode: sampled estimates instead of grid quadrature
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
             _emit(table, config)
         elif config.experiment == "henon-heiles":
             table = run_henon_heiles(
-                d_list=config.d_list or (2, 8, 32),
+                d_list=DEFAULT_D_LIST if config.d_list is None else config.d_list,
                 n=config.resolved_n(default=1_000_000),
                 sampler=config.sampler or "halton",
                 seed=config.seed,

@@ -115,14 +115,11 @@ def husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
 
-def _plane_amplitudes(
+def _plane_offsets(
     state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray, planes=slice(None)
 ) -> np.ndarray:
-    """A[j, i] = sum_k c_k zeta_{j,k}(w_i) O_k(w_i) for the selected planes.
-
-    The offsets are laid out plane-major as one (planes, m, K) array and
-    contracted with the coefficients in a single (planes * m, K) product.
-    """
+    """Z[j, i, k] = zeta_{j,k}(w_i) O_k(w_i) for the selected planes, laid
+    out plane-major as one (planes, m, K) array."""
     cq = state.centers_q[:, planes].T
     cp = state.centers_p[:, planes].T
     zeta = np.empty((cq.shape[0],) + O.shape, dtype=complex)
@@ -130,7 +127,16 @@ def _plane_amplitudes(
     np.subtract(cp[:, None, :], P[:, planes].T[:, :, None], out=zeta.imag)
     zeta /= np.sqrt(2.0 * state.h)
     zeta *= O[None]
-    return (zeta.reshape(-1, O.shape[1]) @ state.coefficients).reshape(cq.shape[0], -1)
+    return zeta
+
+
+def _plane_amplitudes(
+    state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray, planes=slice(None)
+) -> np.ndarray:
+    """A[j, i] = sum_k c_k zeta_{j,k}(w_i) O_k(w_i) for the selected planes,
+    contracted with the coefficients in a single (planes * m, K) product."""
+    Z = _plane_offsets(state, Q, P, O, planes)
+    return (Z.reshape(-1, O.shape[1]) @ state.coefficients).reshape(Z.shape[0], -1)
 
 
 def _plane_power_sum(state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray) -> np.ndarray:

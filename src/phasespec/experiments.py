@@ -152,6 +152,15 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _checked_entries(values, types, kind: str, name: str) -> list:
+    """``values`` as a list, refusing an empty one and entries that are not
+    instances of ``types`` (a bool never counts as a number)."""
+    values = list(values)
+    if not values or not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} entries must be {kind} and at least one is required, got {values!r}")
+    return values
+
+
 def _branch_from_record(rec) -> tuple[complex, PhasePoint]:
     """(coefficient, center) of one ``branches`` config entry: an object with
     lists ``q`` and ``p`` of d reals and an optional ``coeff`` that is a real
@@ -245,8 +254,11 @@ class SweepResult:
 
 
 def fit_loglog_slope(x_values, errors) -> float:
-    """Least-squares slope of log10(error) against log10(x)."""
+    """Least-squares slope of log10(error) against log10(x); needs at least
+    two distinct x values."""
     x = np.log10(np.asarray(x_values, dtype=float))
+    if np.unique(x).size < 2:
+        raise ValueError("a log-log slope needs at least 2 distinct x values")
     y = np.log10(np.asarray(errors, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
 
@@ -345,10 +357,12 @@ def run_accuracy_sweep(
 
     Estimates use full tensor-grid quadrature (interference included); the
     reference is the exact marginal-density quadrature.  Slopes are reported
-    only when every error in the fit exceeds 10x the estimated quadrature
-    (or sampling) noise floor.  The projected cost of the references (and of
-    the sampled estimates) is checked against the resource budget first.
+    only for at least two distinct h and when every error in the fit exceeds
+    10x the estimated quadrature (or sampling) noise floor.  The projected
+    cost of the references (and of the sampled estimates) is checked against
+    the resource budget first.
     """
+    h_list = _checked_entries(h_list, (int, float, np.integer, np.floating), "real numbers", "h_list")
     h_list = sorted({float(h) for h in h_list}, reverse=True)
     if any(h <= 0 for h in h_list):
         raise ValueError("h values must be positive")
@@ -423,7 +437,7 @@ def run_accuracy_sweep(
                 floors_ok[key] = floors_ok.get(key, True) and abs_err > 10.0 * floor
     slopes = {}
     for key, errs in errors.items():
-        slopes[key] = fit_loglog_slope(h_list, errs) if floors_ok[key] else None
+        slopes[key] = fit_loglog_slope(h_list, errs) if floors_ok[key] and len(h_list) > 1 else None
     meta = {f"slope_{m}_{o}": s for (m, o), s in slopes.items()}
     meta["h_list"] = json.dumps(h_list)
     result = SweepResult(
@@ -467,9 +481,7 @@ def run_henon_heiles(
     The potential is a degree-3 polynomial, so the moment-formula reference
     is exact and every reported error is pure sampling error.
     """
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in d_list):
-        raise ValueError(f"d_list entries must be integers, got {list(d_list)!r}")
-    d_list = [int(d) for d in d_list]
+    d_list = [int(d) for d in _checked_entries(d_list, (int, np.integer), "integers", "d_list")]
     if any(d < 2 or d > 128 for d in d_list):
         raise ValueError("d_list entries must lie in 2..128")
     check_resource_budget(n, d_list, force)

@@ -9,11 +9,14 @@ branch superpositions every density handled here is a sum over branch pairs
     mu  : the same kernel times  (1 + d/2) - (1/4h) sum_j beta_klj(w_j)
     Sbar: the same kernel times  (1/(2hd)) sum_j beta_klj(w_j)
 
-with per-plane factors
+with per-plane factors G_klj = O_kj conj(O_lj) and beta_klj =
+2h zeta_jk conj(zeta_jl), built from the overlaps O_kj(w_j) = <g_{w_j}, g_{z_kj}>
+and offsets zeta_jk of :mod:`phasespec.densities`.  On the plane-j grid, with
+trapezoid weights w, a plane factor f of A, V[i, k] = O_kj(w_i) and
+Z = zeta_j V, the plane integrals over every pair (k, l) are Gram matrices:
 
-    G_klj    = exp(-(|w_j - z_kj|^2 + |w_j - z_lj|^2) / (4h)
-                + i (q (p_kj - p_lj) - p (q_kj - q_lj)) / (2h)),
-    beta_klj = (w_j - z_kj).(w_j - z_lj) - i sigma_j(w_j - z_kj, w_j - z_lj).
+    sum_i w f G_klj = (V.T * w f) @ conj(V),
+    sum_i w f beta_klj G_klj = 2h (Z.T * w f) @ conj(Z).
 
 When the observable is itself a sum of per-plane factors (every polynomial
 is, and so are the named trigonometric observables), the full tensor-grid
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GaussianState
+from .core import GaussianState, _overlap_factors
 from . import densities
 
 __all__ = [
@@ -36,6 +39,17 @@ __all__ = [
     "tensor_grid_expectation",
     "direct_grid_integrals",
 ]
+
+# Grid points per block of q-lines in tensor_grid_integrals.  Whole-plane
+# (points, K) temporaries left the process heap larger and slowed the density
+# evaluations that ran after the quadrature in the same process.
+_BLOCK_POINTS = 4096
+
+_DENSITY_MANY = {
+    "mu": densities.mu_many,
+    "husimi": densities.husimi_many,
+    "hermite-mixture": densities.hermite_mixture_many,
+}
 
 
 def plane_axes(state: GaussianState, points_per_axis: int = 160) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -55,6 +69,8 @@ def plane_axes(state: GaussianState, points_per_axis: int = 160) -> list[tuple[n
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
+    if axis.size < 2:
+        raise ValueError(f"a quadrature grid needs at least 2 points per axis, got {axis.size}")
     step = axis[1] - axis[0]
     w = np.full(axis.size, step)
     w[0] = w[-1] = step / 2.0
@@ -111,84 +127,51 @@ def tensor_grid_integrals(
     ``method`` is 'mu', 'husimi', or 'hermite-mixture'.  ``observable`` may
     be None for A = 1.  All branch-pair interference terms are included.
     """
-    if method not in ("mu", "husimi", "hermite-mixture"):
+    if method not in _DENSITY_MANY:
         raise ValueError(f"unknown method {method!r}")
-    d, h = state.dim, state.h
-    c = state.coefficients
-    axes = plane_axes(state, points_per_axis)
+    d, h, K = state.dim, state.h, state.n_branches
     terms = _observable_terms(observable, d)
 
-    grids = []
-    for q_axis, p_axis in axes:
-        QQ, PP = np.meshgrid(q_axis, p_axis, indexing="ij")
-        W2 = np.outer(_trapezoid_weights(q_axis), _trapezoid_weights(p_axis))
-        grids.append((QQ, PP, W2))
+    # Per-plane Gram stacks [row, j, k, l]: row 0 integrates the constant 1,
+    # row 1 + t the plane-j factor of term t.
+    I0 = np.zeros((len(terms) + 1, d, K, K), dtype=complex)
+    Ib = np.zeros_like(I0)
+    for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):
+        # unit coefficients: the real ones may give this plane zero norm
+        plane = GaussianState(
+            h, np.ones(K), state.centers_q[:, j : j + 1], state.centers_p[:, j : j + 1]
+        )
+        w_q, w_p = _trapezoid_weights(q_axis), _trapezoid_weights(p_axis)
+        lines = max(1, _BLOCK_POINTS // p_axis.size)
+        for rows in (slice(s, s + lines) for s in range(0, q_axis.size, lines)):
+            QQ, PP = np.meshgrid(q_axis[rows], p_axis, indexing="ij")
+            Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
+            w = np.outer(w_q[rows], w_p).ravel()
+            V = _overlap_factors(plane, Q, P)
+            Z = densities._plane_offsets(plane, Q, P, V)[0]
+            for t, f in enumerate([None] + [factors[j] for _, factors in terms]):
+                wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
+                I0[t, j] += (V.T * wf) @ V.conj()
+                Ib[t, j] += 2.0 * h * ((Z.T * wf) @ Z.conj())
 
-    # Factor values per (term, plane), shared across branch pairs.
-    factor_vals: list[list[np.ndarray | None]] = []
-    for _, factors in terms:
-        row = []
-        for j, (QQ, PP, _) in enumerate(grids):
-            f = factors[j]
-            row.append(None if f is None else np.asarray(f(QQ, PP), dtype=float))
-        factor_vals.append(row)
+    def combine(i0: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """(K, K) grid integrals of the density's pair kernels from the
+        (d, K, K) plane stacks."""
+        prod_all = np.prod(i0, axis=0)
+        if method == "husimi":
+            return prod_all
+        cross = sum(ib[j] * np.prod(np.delete(i0, j, axis=0), axis=0) for j in range(d))
+        if method == "mu":
+            return (1.0 + d / 2.0) * prod_all - cross / (4.0 * h)
+        return cross / (2.0 * h * d)  # hermite-mixture
 
-    pref = (2.0 * np.pi * h) ** (-d)
-    num = 0.0
-    den = 0.0
-    K = state.n_branches
-    for k in range(K):
-        for l in range(k, K):
-            I0 = np.empty(d, dtype=complex)
-            Ib = np.empty(d, dtype=complex)
-            IA0 = np.empty((len(terms), d), dtype=complex)
-            IAb = np.empty((len(terms), d), dtype=complex)
-            for j, (QQ, PP, W2) in enumerate(grids):
-                aq_k = QQ - state.centers_q[k, j]
-                bp_k = PP - state.centers_p[k, j]
-                aq_l = QQ - state.centers_q[l, j]
-                bp_l = PP - state.centers_p[l, j]
-                dist2 = aq_k * aq_k + bp_k * bp_k + aq_l * aq_l + bp_l * bp_l
-                sig_w = QQ * (state.centers_p[k, j] - state.centers_p[l, j]) - PP * (
-                    state.centers_q[k, j] - state.centers_q[l, j]
-                )
-                G = np.exp(-dist2 / (4.0 * h) + 1j * sig_w / (2.0 * h))
-                beta = (aq_k * aq_l + bp_k * bp_l) - 1j * (aq_k * bp_l - bp_k * aq_l)
-                GW = G * W2
-                I0[j] = GW.sum()
-                Ib[j] = (beta * GW).sum()
-                for t, row in enumerate(factor_vals):
-                    if row[j] is None:
-                        IA0[t, j] = I0[j]
-                        IAb[t, j] = Ib[j]
-                    else:
-                        IA0[t, j] = (row[j] * GW).sum()
-                        IAb[t, j] = (row[j] * beta * GW).sum()
+    def contract(M: np.ndarray) -> float:
+        """(2 pi h)^-d sum_kl c_k conj(c_l) M_kl."""
+        c = state.coefficients
+        return (2.0 * np.pi * h) ** (-d) * float((c @ M @ c.conj()).real)
 
-            def combine(i0: np.ndarray, ib: np.ndarray) -> complex:
-                prod_all = np.prod(i0)
-                if method == "husimi":
-                    return prod_all
-                cross = complex(0.0)
-                for j in range(d):
-                    others = np.prod(i0[np.arange(d) != j]) if d > 1 else 1.0
-                    cross += ib[j] * others
-                if method == "mu":
-                    return (1.0 + d / 2.0) * prod_all - cross / (4.0 * h)
-                return cross / (2.0 * h * d)  # hermite-mixture
-
-            pair_num = sum(
-                coeff * combine(IA0[t], IAb[t]) for t, (coeff, _) in enumerate(terms)
-            )
-            pair_den = combine(I0, Ib)
-            weight = c[k] * np.conj(c[l])
-            if l == k:
-                num += (weight * pair_num).real
-                den += (weight * pair_den).real
-            else:
-                num += 2.0 * (weight * pair_num).real
-                den += 2.0 * (weight * pair_den).real
-    return pref * num, pref * den
+    num = sum(coeff * combine(I0[1 + t], Ib[1 + t]) for t, (coeff, _) in enumerate(terms))
+    return contract(num), contract(combine(I0[0], Ib[0]))
 
 
 def tensor_grid_expectation(
@@ -200,16 +183,6 @@ def tensor_grid_expectation(
     """Normalized expectation integral(A rho) / integral(rho) on the grid."""
     num, den = tensor_grid_integrals(state, observable, method, points_per_axis)
     return num / den
-
-
-def _density_many(state, method):
-    if method == "mu":
-        return lambda Q, P: densities.mu_many(state, Q, P)
-    if method == "husimi":
-        return lambda Q, P: densities.husimi_many(state, Q, P)
-    if method == "hermite-mixture":
-        return lambda Q, P: densities.hermite_mixture_many(state, Q, P)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def direct_grid_integrals(
@@ -226,12 +199,13 @@ def direct_grid_integrals(
     """
     if state.dim > 2:
         raise ValueError("direct grid evaluation is limited to d <= 2")
-    dens_fn = _density_many(state, method)
+    if method not in _DENSITY_MANY:
+        raise ValueError(f"unknown method {method!r}")
 
     def slab_fn(coords):
         # coordinate order (q1, p1[, q2, p2])
         Q, P = coords[:, 0::2], coords[:, 1::2]
-        rho = dens_fn(Q, P)
+        rho = _DENSITY_MANY[method](state, Q, P)
         return (np.ones_like(rho) if observable is None else observable.evaluate(Q, P)), rho
 
     flat_axes = [ax for pair in plane_axes(state, points_per_axis) for ax in pair]

@@ -286,3 +286,26 @@ class TestConfigEntries:
             assert main([command, "--config", str(path)]) == 2, cfg
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err, cfg
+
+    def test_bad_grids_and_lists_exit_2(self, tmp_path, capsys):
+        small = ["--h-list", "0.1", "--points-per-axis", "20", "--reference-resolution", "64"]
+        cases = [
+            ["accuracy-sweep", *small, "--points-per-axis", "1"],
+            ["accuracy-sweep", *small, "--points-per-axis", "0"],
+            ["accuracy-sweep", *small, "--reference-resolution", "1"],
+            ["expectation", "--observable", "torsional", "--d", "2", "--n", "1000",
+             "--reference-resolution", "0"],
+            ["henon-heiles", "--d-list", ",", "--n", "100"],
+        ]
+        for i, cfg in enumerate(({"h_list": [0.1, None]}, {"h_list": [True]}, {"h_list": []})):
+            path = tmp_path / f"lists{i}.json"
+            path.write_text(json.dumps(cfg))
+            cases.append(["accuracy-sweep", "--config", str(path), "--points-per-axis", "20",
+                          "--reference-resolution", "64"])
+        path = tmp_path / "empty_d.json"
+        path.write_text(json.dumps({"d_list": [], "n": 100}))
+        cases.append(["henon-heiles", "--config", str(path)])
+        for argv in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err, argv

@@ -90,6 +90,21 @@ class TestAccuracySweep:
         with pytest.raises(ValueError):
             run_accuracy_sweep(h_list=(0.1, -0.5))
 
+    @pytest.mark.parametrize("h_list", [(0.1,), (0.1, 0.1)])
+    def test_single_h_reports_no_slope(self, h_list):
+        res = run_accuracy_sweep(h_list=h_list, points_per_axis=40, reference_resolution=256)
+        assert len(res.rows) == 4
+        assert res.slopes and all(slope is None for slope in res.slopes.values())
+
+    @pytest.mark.parametrize("h_list", [[], [0.1, None], [True], ["0.1"]])
+    def test_malformed_h_list_refused(self, h_list):
+        with pytest.raises(ValueError, match="h_list"):
+            run_accuracy_sweep(h_list=h_list)
+
+    def test_empty_d_list_refused(self):
+        with pytest.raises(ValueError, match="d_list"):
+            run_henon_heiles(d_list=[], n=100)
+
 
 class TestHenonHeiles:
     def test_small_run_sane(self):
@@ -250,6 +265,11 @@ class TestSlopeFit:
         hs = (0.1, 0.05, 0.025)
         errs = [3.0 * h**2 for h in hs]
         assert fit_loglog_slope(hs, errs) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("hs", [(0.1,), (0.1, 0.1)])
+    def test_one_distinct_x_refused(self, hs):
+        with pytest.raises(ValueError, match="2 distinct"):
+            fit_loglog_slope(hs, [1e-3] * len(hs))
 
 
 class TestSharedEstimates:

@@ -36,6 +36,22 @@ class TestFactoredVersusDirect:
             assert fast[0] == pytest.approx(slow[0], rel=1e-11)
             assert fast[1] == pytest.approx(slow[1], rel=1e-11)
 
+    def test_d2_three_branches_complex_coefficients(self):
+        st = GaussianState.from_branches(
+            0.1,
+            [
+                (1.0 + 0.5j, PhasePoint([0.2, -0.3], [0.1, 0.4])),
+                (-0.7j, PhasePoint([0.6, 0.1], [-0.3, 0.2])),
+                (0.4 - 0.8j, PhasePoint([-0.2, 0.5], [0.3, -0.4])),
+            ],
+        )
+        A = observable_from_polynomial_records([[1.0, [1, 2, 0, 1]], [-0.5, [0, 0, 3, 0]]], 2)
+        for method in ("mu", "husimi", "hermite-mixture"):
+            fast = tensor_grid_integrals(st, A, method, points_per_axis=30)
+            slow = direct_grid_integrals(st, A, method, points_per_axis=30)
+            assert fast[0] == pytest.approx(slow[0], rel=1e-11), method
+            assert fast[1] == pytest.approx(slow[1], rel=1e-11), method
+
     def test_direct_rejects_high_dimension(self):
         st = GaussianState.wavepacket(0.05, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
@@ -95,6 +111,13 @@ class TestEngineInputs:
         A = Observable("radial-cos", lambda Q, P: np.cos(np.sqrt(np.sum(Q**2 + P**2, axis=1))))
         with pytest.raises(ValueError, match="decomposition"):
             tensor_grid_integrals(st, A, "mu")
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_grid_under_two_points_rejected(self, points):
+        st = GaussianState.wavepacket(0.05, [0.0], [0.0])
+        for integrate in (tensor_grid_integrals, direct_grid_integrals):
+            with pytest.raises(ValueError, match="at least 2 points"):
+                integrate(st, None, "mu", points_per_axis=points)
 
     def test_unknown_method_rejected(self):
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
