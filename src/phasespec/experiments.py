@@ -60,19 +60,26 @@ __all__ = [
 
 DEFAULT_H_LIST = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 DEFAULT_D_LIST = (2, 8, 32)
-# Rough single-thread cost model for the resource guard: seconds per
-# (sample x uniform coordinate), and seconds per (marginal-grid point x
-# branch) of reference_expectation_grid (1.1-1.3e-7 measured at d = 2, 3
-# and K = 1, 2; 1.1-1.5e-7 on the accuracy sweep's K = 2, d = 2 references
-# at resolution 2048).
-COST_PER_COORD_SECONDS = 1.5e-7
+# Single-thread cost model for the resource guard.  A plain sampled estimate
+# (projected_seconds) costs SAMPLE_COST_SECONDS + d SAMPLE_COST_PER_DIM_SECONDS
+# per sample: fitted to traced estimates of the Henon-Heiles run (Halton, one
+# worker, three observables, n = 2**17), which measured 1.18e-6, 2.46e-6 and
+# 7.6e-6 s per sample at d = 2, 8 and 32 on a 2-core Xeon host.  A marginal-grid
+# reference costs GRID_COST_PER_AXIS_POINT_SECONDS per (axis point x axis x
+# branch): it builds one (resolution, K) wavepacket table and one extended-
+# precision K x K Gram matrix per axis and observable term (2.8e-7 to 1.3e-6
+# measured on the same host for d = 1..3, K = 1..4, up to 7 terms and
+# resolution 2048..2**20; the high end is K = 4 with 7 terms, whose K x K
+# products grow faster than K).
+SAMPLE_COST_SECONDS = 8e-7
+SAMPLE_COST_PER_DIM_SECONDS = 2.2e-7
+GRID_COST_PER_AXIS_POINT_SECONDS = 1.2e-6
 # Seconds per (sample x uniform coordinate) of one exact-policy
 # (importance-weighted) estimator pass over two observables on the
 # two-branch d = 2 benchmark superposition: 2.6-3.0e-7 measured for the mu
 # method and 1.9-2.1e-7 for the husimi method at n = 1e5 and 4e5 on a
 # 2-core Xeon host, plus headroom for host drift.
 EXACT_COST_PER_COORD_SECONDS = 4e-7
-GRID_COST_PER_POINT_SECONDS = 1.6e-7
 TIME_BUDGET_SECONDS = 600.0
 
 
@@ -216,18 +223,25 @@ def resolve_observable(config: RunConfig, d: int) -> Observable:
 
 def projected_seconds(n: int, d: int) -> float:
     """Cost-model projection of a sampling run (single thread)."""
-    return float(n) * (2 * d + 2) * COST_PER_COORD_SECONDS
+    return float(n) * (SAMPLE_COST_SECONDS + d * SAMPLE_COST_PER_DIM_SECONDS)
 
 
 def _projected_grid_seconds(resolution: int, state: GaussianState) -> float:
-    """Cost-model projection of one marginal-grid reference: resolution**d
-    points, each summing the K branch wavefunctions."""
-    return float(resolution) ** state.dim * state.n_branches * GRID_COST_PER_POINT_SECONDS
+    """Cost-model projection of one marginal-grid reference: resolution
+    points on each of the d axes, each evaluating the K branch factors."""
+    return float(resolution) * state.dim * state.n_branches * GRID_COST_PER_AXIS_POINT_SECONDS
 
 
 def check_resource_budget(n: int, d_values, force: bool) -> float:
     total = sum(projected_seconds(n, d) for d in np.atleast_1d(d_values))
     return _require_budget(total, force)
+
+
+def _require_grid(name: str, size: int) -> None:
+    """Refuse a quadrature grid with fewer than 2 points per axis before any
+    work starts."""
+    if size < 2:
+        raise ValueError(f"{name} must be at least 2 grid points per axis, got {size}")
 
 
 def _require_budget(total: float, force: bool) -> float:
@@ -375,6 +389,9 @@ def run_accuracy_sweep(
         + n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
         for st in states
     )
+    _require_grid("reference_resolution", reference_resolution)
+    if not use_sampler:
+        _require_grid("points_per_axis", points_per_axis)
     _require_budget(projected, force)
     rows = []
     errors: dict[tuple, list] = {}
@@ -535,7 +552,10 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float]
     n = config.resolved_n()
     exact_reference = A.polynomial is not None and state.n_branches == 1
     side = None if exact_reference or state.dim > 3 else _SIDE_FOR.get(A.depends_on())
-    grid_seconds = 0.0 if side is None else _projected_grid_seconds(config.reference_resolution, state)
+    grid_seconds = 0.0
+    if side is not None:
+        _require_grid("reference_resolution", config.reference_resolution)
+        grid_seconds = _projected_grid_seconds(config.reference_resolution, state)
     _require_budget(projected_seconds(n, state.dim) + grid_seconds, config.force)
     source = config.point_source(2 * state.dim + 2)
     policy = CrossTermPolicy(mode="neglect", threshold=config.threshold)

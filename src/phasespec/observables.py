@@ -11,7 +11,11 @@ variance h/2.
 For observables that depend on position only or momentum only,
 :func:`reference_expectation_grid` integrates against the exact marginal
 density of the state (|psi(x)|^2, or |psi_hat(xi)|^2 via the closed-form
-momentum-space wavepackets), including all branch interference.
+momentum-space wavepackets), including all branch interference.  Every
+branch wavefunction and every term of the observable's per-plane
+decomposition factor over the coordinates, so the trapezoid sum over the
+resolution**d marginal grid is assembled from one K x K Gram matrix per axis
+and term; it equals the literal pointwise sum up to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .core import GaussianState, PhasePoint, validate_h
 from .exceptions import ResourceGuardError
-from .quadrature import _grid_sums
+from .quadrature import _trapezoid_weights
 
 __all__ = [
     "PolynomialSymbol",
@@ -368,22 +372,23 @@ def weyl_expectation_gaussian(A, state: GaussianState) -> float:
     return float(total)
 
 
+def _wavepacket_columns(state: GaussianState, X: np.ndarray) -> np.ndarray:
+    """G[i, k] = g_{z_k}(X[i]), the unit wavepacket of branch k at the points
+    X of shape (m, d)."""
+    h, d = state.h, state.dim
+    q, p = state.centers_q[None, :, :], state.centers_p[None, :, :]
+    dq = X[:, None, :] - q
+    phase = np.sum((X[:, None, :] - 0.5 * q) * p, axis=-1)
+    return (np.pi * h) ** (-d / 4.0) * np.exp(-np.sum(dq * dq, axis=-1) / (2.0 * h) + 1j * phase / h)
+
+
 def position_wavefunction(state: GaussianState, X) -> np.ndarray:
     """psi(x) = sum_k c_k (pi h)^(-d/4) e^{i p_k.(x - q_k/2)/h} e^{-|x - q_k|^2/(2h)}
     at points X of shape (m, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    h, d = state.h, state.dim
-    if X.shape[1] != d:
-        raise ValueError(f"points must be (m, {d})")
-    pref = (np.pi * h) ** (-d / 4.0)
-    out = np.zeros(X.shape[0], dtype=complex)
-    for k in range(state.n_branches):
-        dq = X - state.centers_q[k][None, :]
-        phase = (X - 0.5 * state.centers_q[k][None, :]) @ state.centers_p[k]
-        out += state.coefficients[k] * np.exp(
-            -np.sum(dq * dq, axis=-1) / (2.0 * h) + 1j * phase / h
-        )
-    return pref * out
+    if X.shape[1] != state.dim:
+        raise ValueError(f"points must be (m, {state.dim})")
+    return _wavepacket_columns(state, X) @ state.coefficients
 
 
 def momentum_space_state(state: GaussianState) -> GaussianState:
@@ -429,6 +434,20 @@ def reference_expectation_grid(
     returns the raw integral(A rho), whose value for A = 1 is the state norm
     <psi|psi>.
 
+    The sum is the trapezoid rule on the ``resolution**d`` tensor grid of
+    :func:`_marginal_axes`, but the grid is never formed: every branch
+    wavefunction factors over the coordinates, and so does each term of
+    ``A.plane_terms()`` (a term's factor evaluated at (x, 0) on the position
+    side and at (0, x) on the momentum side).  With G_i[x, k] the axis-i
+    factor of branch k, trapezoid weights w_i and term factors f_ti, the sum
+    is
+
+        sum_t coeff_t  c @ (prod_i (G_i.T * w_i f_ti) @ conj(G_i)) @ conj(c),
+
+    the product taken elementwise over the K x K per-axis Gram matrices.  It
+    equals the literal pointwise trapezoid sum up to rounding.  Observables
+    without ``plane_terms`` are refused.
+
     The one-sided marginal construction (d-dimensional grids instead of a
     2d-dimensional phase-space grid) is this library's own reference design;
     it is exact because the marginal densities are known in closed form.
@@ -446,16 +465,38 @@ def reference_expectation_grid(
         raise ResourceGuardError(
             f"marginal grid reference supports d <= 3, got d={d}"
         )
+    terms = A.plane_terms()
+    if terms is None:
+        raise ValueError(
+            f"observable {A.label!r} has no per-axis decomposition; the marginal "
+            "reference needs a polynomial or plane_terms_fn"
+        )
     work = state if side == "position" else momentum_space_state(state)
-    axes = _marginal_axes(work, work.centers_q, resolution)
+    K = work.n_branches
+    # Gram stacks [row, i, k, l]: row 0 integrates the constant 1, row 1 + t
+    # the axis-i factor of term t.  Sums and products run in extended
+    # precision (80-bit on x86-64) because the terms of A may cancel: in
+    # double precision the reference of 2 - cos q_1 - cos q_2 near its
+    # minimum kept only 13 correct digits.
+    grams = np.empty((len(terms) + 1, d, K, K), dtype=np.clongdouble)
+    for i, x in enumerate(_marginal_axes(work, work.centers_q, resolution)):
+        w = _trapezoid_weights(x).astype(np.longdouble)
+        # unit coefficients: the real ones may give this axis zero norm
+        axis_state = GaussianState(
+            work.h, np.ones(K), work.centers_q[:, i : i + 1], work.centers_p[:, i : i + 1]
+        )
+        G = _wavepacket_columns(axis_state, x[:, None]).astype(np.clongdouble)
+        args = (x, np.zeros_like(x)) if side == "position" else (np.zeros_like(x), x)
+        for row, f in enumerate([None] + [factors[i] for _, factors in terms]):
+            wf = w if f is None else w * np.asarray(f(*args), dtype=float)
+            grams[row, i] = (G.T * wf) @ G.conj()
 
-    def slab_fn(pts):
-        rho = np.abs(position_wavefunction(work, pts)) ** 2
-        zeros = np.zeros_like(pts)
-        vals = A.evaluate(pts, zeros) if side == "position" else A.evaluate(zeros, pts)
-        return vals, rho
-
-    num, den = _grid_sums(axes, slab_fn)
+    # pair[row, k, l] = sum over the grid of w f psi_k conj(psi_l)
+    pair = np.prod(grams, axis=1)
+    coeffs = np.array([coeff for coeff, _ in terms])
+    c = work.coefficients
+    num = float((c @ np.tensordot(coeffs, pair[1:], axes=1) @ c.conj()).real)
+    den = float((c @ pair[0] @ c.conj()).real)
     return num / den if normalized else num
 
 

@@ -122,3 +122,46 @@ def fd_laplacian(fn, coords, step=1e-3):
             - f1(x0 - 2 * step)
         ) / (12.0 * step * step)
     return total
+
+
+def marginal_reference_slabs(state, A, side, resolution, normalized=True):
+    """Literal trapezoid sum of A |psi|^2 over the resolution**d marginal grid
+    that ``reference_expectation_grid`` uses (each axis spans the branch
+    centers plus 12 sqrt(h/2)), walked one slab of fixed first coordinate at a
+    time.
+
+    ``side='momentum'`` uses the momentum-space wavefunction, whose branch
+    (q, p) is the wavepacket centered at (p, -q).  A is evaluated at (x, 0) on
+    the position side and at (0, x) on the momentum side.
+    """
+    h, d = state.h, state.dim
+    if side == "position":
+        cq, cp = state.centers_q, state.centers_p
+    else:
+        cq, cp = state.centers_p, -state.centers_q
+    pad = 12.0 * np.sqrt(h / 2.0)
+    axes = [np.linspace(cq[:, i].min() - pad, cq[:, i].max() + pad, resolution) for i in range(d)]
+    weights = []
+    for ax in axes:
+        w = np.full(resolution, ax[1] - ax[0])
+        w[0] = w[-1] = 0.5 * (ax[1] - ax[0])
+        weights.append(w)
+    w_rest = np.ones(1)
+    for w in weights[1:]:
+        w_rest = np.outer(w_rest, w).ravel()
+    rest = [mesh.ravel() for mesh in np.meshgrid(*axes[1:], indexing="ij")]
+    num = den = 0.0
+    for x0, w0 in zip(axes[0], weights[0]):
+        pts = np.column_stack([np.full(w_rest.size, x0)] + rest)
+        psi = 0.0
+        for k, c in enumerate(state.coefficients):
+            branch = c
+            for i in range(d):
+                branch = branch * wavepacket_1d(cq[k, i], cp[k, i], h)(pts[:, i])
+            psi = psi + branch
+        rho = np.abs(psi) ** 2
+        zeros = np.zeros_like(pts)
+        vals = A.evaluate(pts, zeros) if side == "position" else A.evaluate(zeros, pts)
+        num += float(np.dot(w0 * w_rest, vals * rho))
+        den += float(np.dot(w0 * w_rest, rho))
+    return num / den if normalized else num

@@ -252,14 +252,60 @@ class TestGridReferenceGuard:
     """The marginal-grid reference is projected before any work starts."""
 
     def test_expectation_d3_grid_reference_exits_3(self, capsys):
-        code = main(["expectation", "--observable", "torsional", "--d", "3"])
+        code = main(["expectation", "--observable", "torsional", "--d", "3",
+                     "--reference-resolution", "1000000000"])
         assert code == 3
         assert "resource guard" in capsys.readouterr().err
 
     def test_accuracy_sweep_oversized_reference_exits_3(self, capsys):
-        code = main(["accuracy-sweep", "--reference-resolution", "100000"])
+        code = main(["accuracy-sweep", "--reference-resolution", "1000000000"])
         assert code == 3
         assert "resource guard" in capsys.readouterr().err
+
+
+    def test_expectation_d3_grid_reference_runs(self, capsys):
+        code = main(["expectation", "--observable", "torsional", "--d", "3", "--n", "1000"])
+        assert code == 0
+        out = capsys.readouterr().out
+        reference = float(next(ln for ln in out.splitlines() if ln.startswith("reference:")).split()[1])
+        # origin wavepacket, default h = 0.01: E[cos q_j] = e^{-h/4}
+        assert reference == pytest.approx(2.0 - 2.0 * np.exp(-0.01 / 4.0), abs=1e-12)
+
+
+class TestGridSizeRefusedFirst:
+    """Grid sizes under 2 points per axis are refused before any estimate,
+    reference or quadrature runs."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import phasespec.experiments as experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the grid sizes were checked")
+
+        for name in ("estimate_expectation", "reference_expectation_grid", "tensor_grid_expectation"):
+            monkeypatch.setattr(experiments, name, fail)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["accuracy-sweep", "--points-per-axis", "1"],
+            ["accuracy-sweep", "--points-per-axis", "0"],
+            ["accuracy-sweep", "--reference-resolution", "1"],
+            ["accuracy-sweep", "--sampler", "mc", "--reference-resolution", "0"],
+            ["expectation", "--observable", "torsional", "--d", "2", "--reference-resolution", "0"],
+        ],
+    )
+    def test_exit_2_before_any_work(self, no_work, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unused_reference_resolution_not_checked(self, capsys):
+        # hh-total on a single wavepacket has an exact moment reference
+        code = main(["expectation", "--observable", "hh-total", "--n", "1000", "--reference-resolution", "0"])
+        assert code == 0
+        assert "reference:" in capsys.readouterr().out
 
 
 class TestConfigValueTypes:

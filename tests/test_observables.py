@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from phasespec import (
     GaussianState,
@@ -16,6 +17,7 @@ from phasespec import (
     weyl_expectation_gaussian,
 )
 from phasespec.exceptions import ResourceGuardError
+from _oracles import marginal_reference_slabs
 from phasespec.observables import (
     momentum_space_state,
     observable_from_label,
@@ -288,3 +290,51 @@ class TestReferenceGrid:
         one = observable_from_polynomial_records([[1.0, [0] * 8]], 4)
         with pytest.raises(ResourceGuardError):
             reference_expectation_grid(st, one, "position")
+
+
+class TestReferenceGridOracle:
+    """The per-axis Gram assembly equals the literal slab-by-slab trapezoid
+    sum over the same marginal grid."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        K=strategies.integers(1, 3),
+        d=strategies.integers(1, 2),
+        h=strategies.floats(0.01, 0.3),
+        resolution=strategies.integers(16, 256),
+        side=strategies.sampled_from(["position", "momentum"]),
+        normalized=strategies.booleans(),
+        torsional=strategies.booleans(),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_matches_slab_oracle(self, K, d, h, resolution, side, normalized, torsional, seed):
+        rng = np.random.default_rng(seed)
+        branches = [
+            (
+                complex(*rng.uniform(-1.0, 1.0, size=2)),
+                PhasePoint(rng.uniform(-1.0, 1.0, size=d), rng.uniform(-1.0, 1.0, size=d)),
+            )
+            for _ in range(K)
+        ]
+        try:
+            state = GaussianState.from_branches(h, branches)
+        except ValueError:
+            assume(False)  # a zero-norm draw is not a state
+        if torsional and d == 2:
+            A, side = torsional_potential(2), "position"
+        else:
+            # one-sided polynomial of degree <= 4 in the variables of ``side``
+            offset = 0 if side == "position" else d
+            records = []
+            for _ in range(int(rng.integers(1, 5))):
+                exps = [0] * (2 * d)
+                for _ in range(int(rng.integers(0, 5))):
+                    exps[offset + int(rng.integers(0, d))] += 1
+                records.append([float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])), exps])
+            A = observable_from_polynomial_records(records, d)
+        expected = marginal_reference_slabs(state, A, side, resolution, normalized)
+        # the same sum with |A|, so cancellation between terms cannot hide an error
+        magnitude = Observable("abs", lambda Q, P: np.abs(A.evaluate(Q, P)), side=A.depends_on())
+        scale = marginal_reference_slabs(state, magnitude, side, resolution, normalized)
+        got = reference_expectation_grid(state, A, side, resolution=resolution, normalized=normalized)
+        assert abs(got - expected) <= 1e-12 * scale
