@@ -63,17 +63,23 @@ DEFAULT_D_LIST = (2, 8, 32)
 # Single-thread cost model for the resource guard.  A plain sampled estimate
 # (projected_seconds) costs SAMPLE_COST_SECONDS + d SAMPLE_COST_PER_DIM_SECONDS
 # per sample: fitted to traced estimates of the Henon-Heiles run (Halton, one
-# worker, three observables, n = 2**17), which measured 1.18e-6, 2.46e-6 and
-# 7.6e-6 s per sample at d = 2, 8 and 32 on a 2-core Xeon host.  A marginal-grid
-# reference costs GRID_COST_PER_AXIS_POINT_SECONDS per (axis point x axis x
-# branch): it builds one (resolution, K) wavepacket table and one extended-
-# precision K x K Gram matrix per axis and observable term (2.8e-7 to 1.3e-6
-# measured on the same host for d = 1..3, K = 1..4, up to 7 terms and
-# resolution 2048..2**20; the high end is K = 4 with 7 terms, whose K x K
-# products grow faster than K).
-SAMPLE_COST_SECONDS = 8e-7
-SAMPLE_COST_PER_DIM_SECONDS = 2.2e-7
-GRID_COST_PER_AXIS_POINT_SECONDS = 1.2e-6
+# worker, three observables, n = 2**17), which measured 8.6e-7, 1.76e-6 and
+# 5.6e-6 s per sample at d = 2, 8 and 32 on a 2-core Xeon host (medians of
+# 20 estimates each), with a few percent of headroom.
+# A marginal-grid reference with K branches and T observable terms costs, per
+# point of each of its d axes, GRID_COST_PER_AXIS_POINT_SECONDS x K for the
+# wavepacket table plus GRID_COST_PER_GRAM_ENTRY_SECONDS x K^2 x (T + 1) for
+# its T + 1 extended-precision K x K Gram matrices (one integrates the
+# constant 1), and per axis point GRID_COST_PER_TERM_POINT_SECONDS x T for the
+# term factors.  Fitted to timings on the same host for d = 1..3,
+# K = 1, 2, 3, 4, 6, 8, T = 1, 3, 7 and resolution 2**16 (K <= 4 also 2**18):
+# projected / measured 0.63-1.27, lowest at K = 8 (0.63-0.76), where the Gram
+# products grow faster than K^2.
+SAMPLE_COST_SECONDS = 5.5e-7
+SAMPLE_COST_PER_DIM_SECONDS = 1.6e-7
+GRID_COST_PER_AXIS_POINT_SECONDS = 7.2e-8
+GRID_COST_PER_GRAM_ENTRY_SECONDS = 3.5e-8
+GRID_COST_PER_TERM_POINT_SECONDS = 9.4e-8
 # Seconds per (sample x uniform coordinate) of one exact-policy
 # (importance-weighted) estimator pass over two observables on the
 # two-branch d = 2 benchmark superposition: 2.6-3.0e-7 measured for the mu
@@ -226,10 +232,16 @@ def projected_seconds(n: int, d: int) -> float:
     return float(n) * (SAMPLE_COST_SECONDS + d * SAMPLE_COST_PER_DIM_SECONDS)
 
 
-def _projected_grid_seconds(resolution: int, state: GaussianState) -> float:
-    """Cost-model projection of one marginal-grid reference: resolution
-    points on each of the d axes, each evaluating the K branch factors."""
-    return float(resolution) * state.dim * state.n_branches * GRID_COST_PER_AXIS_POINT_SECONDS
+def _projected_grid_seconds(resolution: int, state: GaussianState, n_terms: int) -> float:
+    """Cost-model projection of one marginal-grid reference of an observable
+    with n_terms plane terms: resolution points on each of the d axes, each
+    evaluating the K branch factors and adding to n_terms + 1 K x K Gram
+    matrices, and each evaluating the term factors."""
+    K = state.n_branches
+    per_axis_point = (
+        GRID_COST_PER_AXIS_POINT_SECONDS * K + GRID_COST_PER_GRAM_ENTRY_SECONDS * K * K * (n_terms + 1)
+    )
+    return float(resolution) * (state.dim * per_axis_point + GRID_COST_PER_TERM_POINT_SECONDS * n_terms)
 
 
 def check_resource_budget(n: int, d_values, force: bool) -> float:
@@ -382,12 +394,21 @@ def run_accuracy_sweep(
         raise ValueError("h values must be positive")
     cfg = sampler_config or RunConfig()
     states = [benchmark_superposition(h) for h in h_list]
+    # entries may be labels or d -> Observable factories (e.g. degree-<=3
+    # polynomial control rows, whose mu error sits at the quadrature floor)
+    observable_sets = [
+        [
+            observable_from_label(lbl, state.dim) if isinstance(lbl, str) else lbl(state.dim)
+            for lbl in observable_labels
+        ]
+        for state in states
+    ]
     # sampler mode reads one stream per (h, method) for all observables
     n_streams = len(methods) if use_sampler else 0
     projected = sum(
-        len(observable_labels) * _projected_grid_seconds(reference_resolution, st)
+        sum(_projected_grid_seconds(reference_resolution, st, len(A.plane_terms() or ())) for A in obs)
         + n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
-        for st in states
+        for st, obs in zip(states, observable_sets)
     )
     _require_grid("reference_resolution", reference_resolution)
     if not use_sampler:
@@ -396,13 +417,7 @@ def run_accuracy_sweep(
     rows = []
     errors: dict[tuple, list] = {}
     floors_ok: dict[tuple, bool] = {}
-    for h, state in zip(h_list, states):
-        # entries may be labels or d -> Observable factories (e.g. degree-<=3
-        # polynomial control rows, whose mu error sits at the quadrature floor)
-        observables = [
-            observable_from_label(lbl, state.dim) if isinstance(lbl, str) else lbl(state.dim)
-            for lbl in observable_labels
-        ]
+    for h, state, observables in zip(h_list, states, observable_sets):
         refs = {}
         for A in observables:
             side = _SIDE_FOR.get(A.depends_on())
@@ -555,7 +570,9 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float]
     grid_seconds = 0.0
     if side is not None:
         _require_grid("reference_resolution", config.reference_resolution)
-        grid_seconds = _projected_grid_seconds(config.reference_resolution, state)
+        grid_seconds = _projected_grid_seconds(
+            config.reference_resolution, state, len(A.plane_terms() or ())
+        )
     _require_budget(projected_seconds(n, state.dim) + grid_seconds, config.force)
     source = config.point_source(2 * state.dim + 2)
     policy = CrossTermPolicy(mode="neglect", threshold=config.threshold)

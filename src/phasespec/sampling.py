@@ -69,6 +69,10 @@ __all__ = [
 CHUNK_SIZE = 32768
 DEFAULT_MAX_HALTON_DIM = 64
 _TINY_UNIFORM = 2.0**-54
+# Largest digit-reversal table per Halton base (b^k entries), and the rows
+# halton_points converts per pass over the bases.
+_DIGIT_TABLE_SIZE = 4096
+_HALTON_ROWS = 4096
 
 
 def _first_primes(n: int) -> np.ndarray:
@@ -89,36 +93,85 @@ def _first_primes(n: int) -> np.ndarray:
         bound *= 2
 
 
+def _digit_count(hi: int, base: int) -> int:
+    """Number K >= 1 of base-b digits with base**K > hi."""
+    ndigits = 1
+    while base**ndigits <= hi:
+        ndigits += 1
+    return ndigits
+
+
+def _digit_blocks(base: int, ndigits: int) -> list[tuple[int, np.ndarray | None]]:
+    """Split ndigits base-b digits into blocks, lowest digits first.
+
+    Each block is (b^m, rev_m) with rev_m[j] the m-digit reversal of
+    j < b^m; a one-digit block has no table, as a digit is its own
+    reversal.  Every block but the last has the largest m with
+    b^m <= _DIGIT_TABLE_SIZE (m >= 1); the last holds the remaining digits.
+    """
+    full = 1
+    while base ** (full + 1) <= _DIGIT_TABLE_SIZE:
+        full += 1
+    n_full, last = divmod(ndigits, full)
+    if last == 0:
+        n_full, last = n_full - 1, full
+    tables = [None]
+    rev = np.arange(base, dtype=np.int64)
+    for m in range(2, full + 1):
+        # j = a + b j' with low digit a: rev_m(j) = a b^(m-1) + rev_(m-1)(j')
+        rev = (rev[:, None] + np.arange(base, dtype=np.int64) * base ** (m - 1)).ravel()
+        tables.append(rev)
+    return [(base**full, tables[full - 1])] * n_full + [(base**last, tables[last - 1])]
+
+
+def _reversed_numerators(idx: np.ndarray, blocks: list[tuple[int, np.ndarray | None]]) -> np.ndarray:
+    """The digit-reversed integers rev_K(idx) over the K digits of ``blocks``.
+
+    Each block but the last peels its digits off with one scalar floor
+    division (several times faster than ``%`` or ``np.divmod`` on int64);
+    the last block's remainder is already below its size.
+    """
+    num = 0
+    rem = idx
+    for size, rev in blocks[:-1]:
+        quot = rem // size
+        digits = rem - quot * size
+        num = num * size + (digits if rev is None else rev[digits])
+        rem = quot
+    size, rev = blocks[-1]
+    return num * size + (rem if rev is None else rev[rem])
+
+
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """Radical inverse of integer indices in the given base.
 
-    The digit reversal is accumulated as an exact integer numerator and
-    divided once by base^K.  While index * base < 2**53 both the numerator
-    and base^K <= index * base are exact doubles, so every value is the
-    correctly rounded double of the exact rational.  Beyond that range (up
-    to the int64 bound that ``halton_points`` enforces) base^K is rounded
-    and a value may be off by an ulp.
+    The K digits of the largest index are reversed a block of up to k digits
+    at a time (b^k <= _DIGIT_TABLE_SIZE) through a digit-reversal table,
+    lowest block first: num <- num * b^k + rev_k(rem mod b^k).  This builds the same
+    exact integer numerator rev_K(index) as a digit-by-digit loop, so the
+    single final division by base^K gives the same double.  While
+    index * base < 2**53 both the numerator and base^K <= index * base are
+    exact doubles, so every value is the correctly rounded double of the
+    exact rational.  Beyond that range (up to the int64 bound that
+    ``halton_points`` enforces) base^K is rounded and a value may be off by
+    an ulp.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if np.any(idx < 0):
         raise ValueError("indices must be non-negative")
-    hi = int(idx.max(initial=0))
-    ndigits = 1
-    while base**ndigits <= hi:
-        ndigits += 1
-    num = np.zeros_like(idx)
-    rem = idx.copy()
-    for _ in range(ndigits):
-        num = num * base + rem % base
-        rem //= base
-    return num / float(base**ndigits)
+    ndigits = _digit_count(int(idx.max(initial=0)), base)
+    return _reversed_numerators(idx, _digit_blocks(base, ndigits)) / float(base**ndigits)
 
 
 def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | None = None) -> np.ndarray:
     """Elements skip, skip+leap, ..., of the Halton sequence in (0, 1)^dim.
 
     Coordinate i uses the van der Corput radical inverse in the i-th prime
-    base.  Element index 0 is the degenerate all-zero point, so callers
+    base, computed as in ``_radical_inverse``: the digit-reversal tables are
+    built once per call, every base uses the digit count K of the last
+    index, and each value is the exact numerator rev_K(index) divided once
+    by base^K (correctly rounded while index * base < 2**53, within an ulp
+    above).  Element index 0 is the degenerate all-zero point, so callers
     should use skip >= 1.
 
     Parameters
@@ -136,6 +189,8 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
 
     Indices are exact int64 integers: the last index times the largest
     prime base in use must stay below 2**63, or a ValueError is raised.
+    The result is a C-contiguous (n, dim) float64 array, filled
+    ``_HALTON_ROWS`` rows at a time through a small (dim, rows) buffer.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -148,18 +203,30 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     if n < 0 or skip < 0 or leap < 1:
         raise ValueError("need n >= 0, skip >= 0, leap >= 1")
     primes = _first_primes(dim)
-    # The digit-reversed numerator in _radical_inverse stays below
-    # index * base, which must fit in int64.
+    # The digit-reversed numerator stays below index * base, which must fit
+    # in int64.
     hi = int(skip) + int(leap) * max(int(n) - 1, 0)
     if hi * int(primes[-1]) >= 2**63:
         raise ValueError(
             f"Halton index bound exceeded: element index {hi} times prime base "
             f"{int(primes[-1])} must stay below 2**63"
         )
+    plans = []
+    for b in primes:
+        ndigits = _digit_count(hi, int(b))
+        plans.append((_digit_blocks(int(b), ndigits), float(int(b) ** ndigits)))
     indices = skip + leap * np.arange(n, dtype=np.int64)
     out = np.empty((n, dim))
-    for i, b in enumerate(primes):
-        out[:, i] = _radical_inverse(indices, int(b))
+    # Filling whole rows of a (dim, rows) buffer and copying its transpose
+    # keeps the result C-ordered, so row sums downstream run in the same
+    # order as for any other C-ordered block.
+    buf = np.empty((dim, min(n, _HALTON_ROWS)))
+    for lo in range(0, n, _HALTON_ROWS):
+        idx = indices[lo : lo + _HALTON_ROWS]
+        block = buf[:, : idx.size]
+        for row, (blocks, scale) in zip(block, plans):
+            np.divide(_reversed_numerators(idx, blocks), scale, out=row)
+        out[lo : lo + idx.size] = block.T
     return out
 
 

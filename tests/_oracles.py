@@ -165,3 +165,33 @@ def marginal_reference_slabs(state, A, side, resolution, normalized=True):
         num += float(np.dot(w0 * w_rest, vals * rho))
         den += float(np.dot(w0 * w_rest, rho))
     return num / den if normalized else num
+
+
+def radical_inverse_digit_loop(indices, base):
+    """Radical inverse peeled one base-b digit at a time: the exact int64
+    numerator rev_K(index) over the K digits of the largest index, divided
+    once by base**K."""
+    idx = np.asarray(indices, dtype=np.int64)
+    hi = int(idx.max(initial=0))
+    ndigits = 1
+    while base**ndigits <= hi:
+        ndigits += 1
+    num = np.zeros_like(idx)
+    rem = idx.copy()
+    for _ in range(ndigits):
+        num = num * base + rem % base
+        rem //= base
+    return num / float(base**ndigits)
+
+
+def halton_digit_loop(n, dim, skip, leap=1):
+    """Halton elements skip, skip + leap, ... in the first dim prime bases,
+    one column per base by ``radical_inverse_digit_loop``."""
+    primes = []
+    candidate = 2
+    while len(primes) < dim:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    indices = skip + leap * np.arange(n, dtype=np.int64)
+    return np.column_stack([radical_inverse_digit_loop(indices, b) for b in primes])

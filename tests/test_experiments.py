@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from phasespec import GaussianState, state_norm2
+from phasespec import GaussianState, PhasePoint, state_norm2
 from phasespec.exceptions import ResourceGuardError
 from phasespec.experiments import (
+    GRID_COST_PER_TERM_POINT_SECONDS,
     RunConfig,
+    _projected_grid_seconds,
     base_metadata,
     benchmark_superposition,
     check_resource_budget,
@@ -135,6 +137,44 @@ class TestHenonHeiles:
             run_henon_heiles(d_list=(1,), n=100)
         with pytest.raises(ValueError):
             run_henon_heiles(d_list=(256,), n=100)
+
+
+class TestGridCostModel:
+    """The marginal-reference projection charges K^2 Gram entries per term."""
+
+    @staticmethod
+    def state(K, d):
+        return GaussianState.from_branches(
+            0.05, [(1.0, PhasePoint([4.0 * k] * d, [0.0] * d)) for k in range(K)]
+        )
+
+    def test_extra_term_costs_grow_as_k_squared(self):
+        one, four = self.state(1, 2), self.state(4, 2)
+        assert _projected_grid_seconds(2000, four, 3) == pytest.approx(
+            2 * _projected_grid_seconds(1000, four, 3)
+        )
+
+        def term_step(st):
+            # one more term: its K x K Gram entries on each axis, plus its factor
+            step = _projected_grid_seconds(1000, st, 4) - _projected_grid_seconds(1000, st, 3)
+            return step - 1000 * GRID_COST_PER_TERM_POINT_SECONDS
+
+        assert term_step(four) == pytest.approx(16 * term_step(one))
+
+    @pytest.mark.parametrize(
+        "d, K, terms, resolution, measured",
+        [
+            # reference_expectation_grid timings (min of 3, 2-core Xeon host)
+            (3, 1, 3, 2**17, 0.106),
+            (2, 2, 3, 2**17, 0.196),
+            (3, 4, 7, 2**18, 3.96),
+            (3, 8, 7, 2**16, 5.24),
+        ],
+    )
+    def test_projection_tracks_measured_references(self, d, K, terms, resolution, measured):
+        # the model linear in K projected 1.9 s for the K = 8 case
+        ratio = _projected_grid_seconds(resolution, self.state(K, d), terms) / measured
+        assert 0.5 < ratio < 2.0
 
 
 class TestRunExpectation:

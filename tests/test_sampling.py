@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy import stats
 
 from phasespec import (
@@ -23,7 +24,9 @@ from phasespec import (
 from phasespec.exceptions import NonNegligibleCrossTermsError
 from phasespec.observables import observable_from_polynomial_records, torsional_potential
 from phasespec.quadrature import tensor_grid_expectation
-from phasespec.sampling import CHUNK_SIZE, _first_primes
+from phasespec.sampling import CHUNK_SIZE, _first_primes, _radical_inverse
+
+from _oracles import halton_digit_loop
 
 
 def exact_radical_inverse(index, base):
@@ -74,6 +77,69 @@ class TestHalton:
     def test_values_in_open_interval(self):
         pts = halton_points(500, 6, skip=1)
         assert np.all((pts > 0.0) & (pts < 1.0))
+
+
+class TestHaltonDigitBlocks:
+    """The table-driven radical inverse gives the one-digit loop's doubles bit
+    for bit, and the exact rationals while index * base < 2**53."""
+
+    @pytest.mark.parametrize("dim", [6, 18, 66, 258])
+    def test_whole_chunks_match_digit_loop(self, dim):
+        source = PointSource(dimension=dim, kind="halton")
+        for c in (0, 3, 30):
+            got = source.uniform_block(c * CHUNK_SIZE, CHUNK_SIZE)
+            want = halton_digit_loop(CHUNK_SIZE, dim, skip=source.skip + c * CHUNK_SIZE)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        dim=strategies.integers(1, 70),
+        leap=strategies.integers(1, 10**6),
+        n=strategies.integers(1, 10**4),
+        data=strategies.data(),
+    )
+    def test_matches_digit_loop_and_exact_rationals(self, dim, leap, n, data):
+        primes = [int(b) for b in _first_primes(dim)]
+        # keep every index * base below 2**53, where the values are exact
+        skip = data.draw(strategies.integers(0, (2**53 - 1) // primes[-1] - leap * (n - 1)))
+        pts = halton_points(n, dim, skip=skip, leap=leap, max_dim=dim)
+        want = halton_digit_loop(n, dim, skip, leap)
+        assert np.array_equal(pts.view(np.int64), want.view(np.int64))
+        # first and last rows, both sides of each row-block edge, and a draw
+        rows = {0, n - 1, data.draw(strategies.integers(0, n - 1))}
+        rows |= {r for edge in range(4096, n, 4096) for r in (edge - 1, edge)}
+        for r in sorted(rows):
+            index = skip + leap * r
+            assert pts[r].tolist() == [exact_radical_inverse(index, b) for b in primes]
+
+    def test_digit_count_boundaries(self):
+        # b^k - 1 has k digits and b^k, b^k + 1 have k + 1, for every k that
+        # keeps index * base below 2**53: this crosses every table-block split
+        for dim_i, base in enumerate(int(b) for b in _first_primes(70)):
+            k = 1
+            while (base**k + 1) * base < 2**53:
+                indices = [base**k - 1, base**k, base**k + 1]
+                exact = [exact_radical_inverse(i, base) for i in indices]
+                for i, want in zip(indices, exact):
+                    assert _radical_inverse(np.array([i]), base).tolist() == [want]
+                assert _radical_inverse(np.array(indices), base).tolist() == exact
+                pts = halton_points(3, dim_i + 1, skip=base**k - 1, max_dim=70)
+                assert pts[:, dim_i].tolist() == exact
+                k += 1
+
+    def test_negative_indices_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _radical_inverse(np.array([3, -1]), 2)
+
+    def test_c_contiguous_float64(self):
+        # row sums downstream depend on the memory order of the block
+        pts = halton_points(10_000, 18, skip=1000, max_dim=18)
+        assert pts.dtype == np.float64 and pts.flags.c_contiguous
+        source = PointSource(dimension=18, kind="halton")
+        for start, count in ((0, CHUNK_SIZE), (5, 100), (CHUNK_SIZE - 50, 100)):
+            block = source.uniform_block(start, count)
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert block.shape == (count, 18)
 
 
 class TestInverseNormalCdf:
