@@ -75,11 +75,23 @@ DEFAULT_D_LIST = (2, 8, 32)
 # K = 1, 2, 3, 4, 6, 8, T = 1, 3, 7 and resolution 2**16 (K <= 4 also 2**18):
 # projected / measured 0.63-1.27, lowest at K = 8 (0.63-0.76), where the Gram
 # products grow faster than K^2.
+# A shared tensor-grid call walks points_per_axis^2 points on each of the d
+# planes.  Per plane point it costs TENSOR_COST_PER_BRANCH_POINT_SECONDS x K
+# for the K overlap and offset columns, and per computed Gram row (row 0 plus
+# every term factor that is not None on that plane) TENSOR_COST_PER_ROW_POINT_SECONDS
+# for the factor and TENSOR_COST_PER_GRAM_ENTRY_SECONDS x K^2 for its two K x K
+# Gram matrices.  Fitted to 108 timings on the same host (d = 1..3,
+# K = 1, 2, 3, 4, 6, 8, 1 + T rows per plane for T = 1, 3, 7, 40 to 160
+# points per axis): projected / measured 0.50-2.21, highest for the smallest
+# calls, where the per-call overhead the model leaves out is lowest.
 SAMPLE_COST_SECONDS = 5.5e-7
 SAMPLE_COST_PER_DIM_SECONDS = 1.6e-7
 GRID_COST_PER_AXIS_POINT_SECONDS = 7.2e-8
 GRID_COST_PER_GRAM_ENTRY_SECONDS = 3.5e-8
 GRID_COST_PER_TERM_POINT_SECONDS = 9.4e-8
+TENSOR_COST_PER_BRANCH_POINT_SECONDS = 1.4e-7
+TENSOR_COST_PER_ROW_POINT_SECONDS = 4.0e-8
+TENSOR_COST_PER_GRAM_ENTRY_SECONDS = 2.5e-9
 # Seconds per (sample x uniform coordinate) of one exact-policy
 # (importance-weighted) estimator pass over two observables on the
 # two-branch d = 2 benchmark superposition: 2.6-3.0e-7 measured for the mu
@@ -244,6 +256,16 @@ def _projected_grid_seconds(resolution: int, state: GaussianState, n_terms: int)
     return float(resolution) * (state.dim * per_axis_point + GRID_COST_PER_TERM_POINT_SECONDS * n_terms)
 
 
+def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, observables) -> float:
+    """Cost-model projection of one shared tensor-grid call over the
+    observables: points_per_axis^2 points on each of the d planes, each
+    evaluating the K branch columns and adding to every computed Gram row."""
+    K, d = state.n_branches, state.dim
+    rows = d + sum(f is not None for A in observables for _, fs in (A.plane_terms() or ()) for f in fs)
+    per_row = TENSOR_COST_PER_ROW_POINT_SECONDS + TENSOR_COST_PER_GRAM_ENTRY_SECONDS * K * K
+    return float(points_per_axis) ** 2 * (d * TENSOR_COST_PER_BRANCH_POINT_SECONDS * K + rows * per_row)
+
+
 def check_resource_budget(n: int, d_values, force: bool) -> float:
     total = sum(projected_seconds(n, d) for d in np.atleast_1d(d_values))
     return _require_budget(total, force)
@@ -403,11 +425,13 @@ def run_accuracy_sweep(
         ]
         for state in states
     ]
-    # sampler mode reads one stream per (h, method) for all observables
+    # sampler mode reads one stream per (h, method) for all observables; grid
+    # mode makes one tensor-grid call per h for every (method, observable)
     n_streams = len(methods) if use_sampler else 0
     projected = sum(
         sum(_projected_grid_seconds(reference_resolution, st, len(A.plane_terms() or ())) for A in obs)
         + n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
+        + (0.0 if use_sampler else _projected_tensor_grid_seconds(points_per_axis, st, obs))
         for st, obs in zip(states, observable_sets)
     )
     _require_grid("reference_resolution", reference_resolution)
@@ -428,6 +452,13 @@ def run_accuracy_sweep(
             refs[A.label] = reference_expectation_grid(
                 state, A, side, resolution=reference_resolution
             )
+        if not use_sampler:
+            # one shared plane walk per h for every (method, observable)
+            t0 = time.perf_counter()
+            grid = tensor_grid_expectation(
+                state, observables, methods, points_per_axis=points_per_axis
+            )
+            grid_wall = time.perf_counter() - t0
         for method in methods:
             # (estimate, noise floor, n, wall time) per observable
             if use_sampler:
@@ -448,15 +479,11 @@ def run_accuracy_sweep(
                 wall = time.perf_counter() - t0
                 outcomes = [(r.value, 3.0 * r.stderr + 1e-12, cfg.resolved_n(), wall) for r in results]
             else:
-                outcomes = []
-                for A in observables:
-                    t0 = time.perf_counter()
-                    estimate = tensor_grid_expectation(
-                        state, A, method=method, points_per_axis=points_per_axis
-                    )
-                    wall = time.perf_counter() - t0
-                    floor = 1e-12 * max(1.0, abs(refs[A.label]))
-                    outcomes.append((estimate, floor, points_per_axis ** (2 * state.dim), wall))
+                n_used = points_per_axis ** (2 * state.dim)
+                outcomes = [
+                    (estimate, 1e-12 * max(1.0, abs(refs[A.label])), n_used, grid_wall)
+                    for A, estimate in zip(observables, grid[method])
+                ]
             for A, (estimate, floor, n_used, wall) in zip(observables, outcomes):
                 ref = refs[A.label]
                 abs_err = abs(estimate - ref)

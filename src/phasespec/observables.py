@@ -471,6 +471,8 @@ def reference_expectation_grid(
             f"observable {A.label!r} has no per-axis decomposition; the marginal "
             "reference needs a polynomial or plane_terms_fn"
         )
+    if any(len(factors) != d for _, factors in terms):
+        raise ValueError("observable and state dimensions differ")
     work = state if side == "position" else momentum_space_state(state)
     K = work.n_branches
     # Gram stacks [row, i, k, l]: row 0 integrates the constant 1, row 1 + t

@@ -24,9 +24,21 @@ sum collapses exactly into products of 2-dimensional plane integrals: the
 result equals the direct sum over the (points_per_axis)^(2d) grid, evaluated
 without materializing it.  ``direct_grid_integrals`` keeps the literal
 pointwise summation (d <= 2) for cross-validation.
+
+The Gram stacks do not depend on the density; only the final combination
+does.  ``tensor_grid_integrals`` therefore walks each plane once, in blocks
+of q-lines, for any number of observables and methods: row 0 of the stack
+integrates the constant 1, the rows after it the plane factors of every
+observable's terms in order, and V, Z and their conjugates are computed once
+per block.  A term whose factor on plane j is None (the constant 1) has
+exactly row 0's plane-j Grams, so those are copied after the walk instead of
+being summed again; the copy is the same float sum, so every result equals
+that of a single-observable, single-method call.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -113,30 +125,47 @@ def _observable_terms(observable, d: int):
             f"observable {observable.label!r} has no per-plane decomposition; "
             "tensor-grid quadrature needs a polynomial or plane_terms_fn"
         )
+    if any(len(factors) != d for _, factors in terms):
+        raise ValueError("observable and state dimensions differ")
     return terms
 
 
 def tensor_grid_integrals(
     state: GaussianState,
     observable,
-    method: str = "mu",
+    method: str | Sequence[str] = "mu",
     points_per_axis: int = 160,
-) -> tuple[float, float]:
+) -> tuple[float, float] | dict[str, list[tuple[float, float]]]:
     """(integral of A * density, integral of density) on the tensor grid.
 
     ``method`` is 'mu', 'husimi', or 'hermite-mixture'.  ``observable`` may
     be None for A = 1.  All branch-pair interference terms are included.
-    """
-    if method not in _DENSITY_MANY:
-        raise ValueError(f"unknown method {method!r}")
-    d, h, K = state.dim, state.h, state.n_branches
-    terms = _observable_terms(observable, d)
 
-    # Per-plane Gram stacks [row, j, k, l]: row 0 integrates the constant 1,
-    # row 1 + t the plane-j factor of term t.
-    I0 = np.zeros((len(terms) + 1, d, K, K), dtype=complex)
+    ``observable`` may also be a list or tuple of observables and ``method``
+    a list or tuple of methods; the result is then ``out[method][i]``, the
+    (num, den) pair of the i-th observable, from one shared walk of the
+    planes.  Each pair equals that of a single call.
+    """
+    single = isinstance(method, str) and not isinstance(observable, (list, tuple))
+    methods = [method] if isinstance(method, str) else list(method)
+    observables = list(observable) if isinstance(observable, (list, tuple)) else [observable]
+    if not methods or not observables:
+        raise ValueError("need at least one method and one observable")
+    for m in methods:
+        if m not in _DENSITY_MANY:
+            raise ValueError(f"unknown method {m!r}")
+    d, h, K = state.dim, state.h, state.n_branches
+    term_lists = [_observable_terms(A, d) for A in observables]
+    # Gram rows: row 0 integrates the constant 1, then come the terms of
+    # every observable in order.
+    row_factors = [(None,) * d] + [factors for terms in term_lists for _, factors in terms]
+
+    # Per-plane Gram stacks [row, j, k, l].  A row whose plane-j factor is
+    # None has row 0's plane-j Grams; they are copied after the walk.
+    I0 = np.zeros((len(row_factors), d, K, K), dtype=complex)
     Ib = np.zeros_like(I0)
     for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):
+        computed = [0] + [r for r, fs in enumerate(row_factors) if fs[j] is not None]
         # unit coefficients: the real ones may give this plane zero norm
         plane = GaussianState(
             h, np.ones(K), state.centers_q[:, j : j + 1], state.centers_p[:, j : j + 1]
@@ -149,12 +178,17 @@ def tensor_grid_integrals(
             w = np.outer(w_q[rows], w_p).ravel()
             V = _overlap_factors(plane, Q, P)
             Z = densities._plane_offsets(plane, Q, P, V)[0]
-            for t, f in enumerate([None] + [factors[j] for _, factors in terms]):
+            Vc, Zc = V.conj(), Z.conj()
+            for r in computed:
+                f = row_factors[r][j]
                 wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
-                I0[t, j] += (V.T * wf) @ V.conj()
-                Ib[t, j] += 2.0 * h * ((Z.T * wf) @ Z.conj())
+                I0[r, j] += (V.T * wf) @ Vc
+                Ib[r, j] += 2.0 * h * ((Z.T * wf) @ Zc)
+        copied = [r for r, fs in enumerate(row_factors) if r and fs[j] is None]
+        I0[copied, j] = I0[0, j]
+        Ib[copied, j] = Ib[0, j]
 
-    def combine(i0: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    def combine(method: str, i0: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """(K, K) grid integrals of the density's pair kernels from the
         (d, K, K) plane stacks."""
         prod_all = np.prod(i0, axis=0)
@@ -170,19 +204,35 @@ def tensor_grid_integrals(
         c = state.coefficients
         return (2.0 * np.pi * h) ** (-d) * float((c @ M @ c.conj()).real)
 
-    num = sum(coeff * combine(I0[1 + t], Ib[1 + t]) for t, (coeff, _) in enumerate(terms))
-    return contract(num), contract(combine(I0[0], Ib[0]))
+    out = {}
+    for m in methods:
+        den = contract(combine(m, I0[0], Ib[0]))
+        pairs, row = [], 1
+        for terms in term_lists:
+            num = sum(
+                coeff * combine(m, I0[row + t], Ib[row + t]) for t, (coeff, _) in enumerate(terms)
+            )
+            pairs.append((contract(num), den))
+            row += len(terms)
+        out[m] = pairs
+    return out[method][0] if single else out
 
 
 def tensor_grid_expectation(
     state: GaussianState,
     observable,
-    method: str = "mu",
+    method: str | Sequence[str] = "mu",
     points_per_axis: int = 160,
-) -> float:
-    """Normalized expectation integral(A rho) / integral(rho) on the grid."""
-    num, den = tensor_grid_integrals(state, observable, method, points_per_axis)
-    return num / den
+) -> float | dict[str, list[float]]:
+    """Normalized expectation integral(A rho) / integral(rho) on the grid.
+
+    Takes the arguments of :func:`tensor_grid_integrals`; for sequences the
+    result is ``out[method][i]``, the expectation of the i-th observable.
+    """
+    result = tensor_grid_integrals(state, observable, method, points_per_axis)
+    if isinstance(result, tuple):
+        return result[0] / result[1]
+    return {m: [num / den for num, den in pairs] for m, pairs in result.items()}
 
 
 def direct_grid_integrals(

@@ -167,6 +167,55 @@ def marginal_reference_slabs(state, A, side, resolution, normalized=True):
     return num / den if normalized else num
 
 
+def tensor_grid_every_row(state, observable, method, points_per_axis):
+    """(num, den) of one observable and one method by the plane walk of
+    ``tensor_grid_integrals``, but with no shared or copied rows: the Gram
+    matrices of every term, None factors included, are summed block by
+    block on every plane.  The float arithmetic of each Gram is the same, so
+    the results must be equal, not merely close."""
+    from phasespec.core import GaussianState, _overlap_factors
+    from phasespec.densities import _plane_offsets
+    from phasespec.quadrature import _BLOCK_POINTS, _trapezoid_weights, plane_axes
+
+    d, h, K = state.dim, state.h, state.n_branches
+    terms = [(1.0, (None,) * d)] if observable is None else observable.plane_terms()
+    I0 = np.zeros((len(terms) + 1, d, K, K), dtype=complex)
+    Ib = np.zeros_like(I0)
+    for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):
+        plane = GaussianState(
+            h, np.ones(K), state.centers_q[:, j : j + 1], state.centers_p[:, j : j + 1]
+        )
+        w_q, w_p = _trapezoid_weights(q_axis), _trapezoid_weights(p_axis)
+        lines = max(1, _BLOCK_POINTS // p_axis.size)
+        for start in range(0, q_axis.size, lines):
+            rows = slice(start, start + lines)
+            QQ, PP = np.meshgrid(q_axis[rows], p_axis, indexing="ij")
+            Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
+            w = np.outer(w_q[rows], w_p).ravel()
+            V = _overlap_factors(plane, Q, P)
+            Z = _plane_offsets(plane, Q, P, V)[0]
+            for t, f in enumerate([None] + [factors[j] for _, factors in terms]):
+                wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
+                I0[t, j] += (V.T * wf) @ V.conj()
+                Ib[t, j] += 2.0 * h * ((Z.T * wf) @ Z.conj())
+
+    def combine(i0, ib):
+        prod_all = np.prod(i0, axis=0)
+        if method == "husimi":
+            return prod_all
+        cross = sum(ib[j] * np.prod(np.delete(i0, j, axis=0), axis=0) for j in range(d))
+        if method == "mu":
+            return (1.0 + d / 2.0) * prod_all - cross / (4.0 * h)
+        return cross / (2.0 * h * d)
+
+    def contract(M):
+        c = state.coefficients
+        return (2.0 * np.pi * h) ** (-d) * float((c @ M @ c.conj()).real)
+
+    num = sum(coeff * combine(I0[1 + t], Ib[1 + t]) for t, (coeff, _) in enumerate(terms))
+    return contract(num), contract(combine(I0[0], Ib[0]))
+
+
 def radical_inverse_digit_loop(indices, base):
     """Radical inverse peeled one base-b digit at a time: the exact int64
     numerator rev_K(index) over the K digits of the largest index, divided

@@ -262,6 +262,18 @@ class TestGridReferenceGuard:
         assert code == 3
         assert "resource guard" in capsys.readouterr().err
 
+    def test_accuracy_sweep_oversized_tensor_grid_exits_3(self, monkeypatch, capsys):
+        import phasespec.experiments as experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the guard refused the sweep")
+
+        for name in ("reference_expectation_grid", "tensor_grid_expectation"):
+            monkeypatch.setattr(experiments, name, fail)
+        code = main(["accuracy-sweep", "--points-per-axis", "20000", "--h-list", "0.1,0.01"])
+        assert code == 3
+        assert "resource guard" in capsys.readouterr().err
+
 
     def test_expectation_d3_grid_reference_runs(self, capsys):
         code = main(["expectation", "--observable", "torsional", "--d", "3", "--n", "1000"])

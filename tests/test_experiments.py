@@ -6,9 +6,14 @@ import pytest
 from phasespec import GaussianState, PhasePoint, state_norm2
 from phasespec.exceptions import ResourceGuardError
 from phasespec.experiments import (
+    DEFAULT_H_LIST,
     GRID_COST_PER_TERM_POINT_SECONDS,
+    TENSOR_COST_PER_GRAM_ENTRY_SECONDS,
+    TENSOR_COST_PER_ROW_POINT_SECONDS,
+    TIME_BUDGET_SECONDS,
     RunConfig,
     _projected_grid_seconds,
+    _projected_tensor_grid_seconds,
     base_metadata,
     benchmark_superposition,
     check_resource_budget,
@@ -22,6 +27,7 @@ from phasespec.experiments import (
     run_henon_heiles,
     write_csv,
 )
+from phasespec.quadrature import tensor_grid_expectation
 
 
 class TestDensitySection:
@@ -91,6 +97,22 @@ class TestAccuracySweep:
     def test_invalid_h_rejected(self):
         with pytest.raises(ValueError):
             run_accuracy_sweep(h_list=(0.1, -0.5))
+
+    def test_mixed_observable_refused_before_quadrature(self, monkeypatch):
+        import phasespec.experiments as experiments
+        from phasespec.observables import observable_from_polynomial_records
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the tensor grid ran before the observable was refused")
+
+        monkeypatch.setattr(experiments, "tensor_grid_expectation", fail)
+        with pytest.raises(ValueError, match="not one-sided"):
+            run_accuracy_sweep(
+                h_list=(0.1,),
+                observable_labels=(lambda d: observable_from_polynomial_records([[1.0, [1, 0, 1, 0]]], d),),
+                points_per_axis=40,
+                reference_resolution=64,
+            )
 
     @pytest.mark.parametrize("h_list", [(0.1,), (0.1, 0.1)])
     def test_single_h_reports_no_slope(self, h_list):
@@ -351,6 +373,55 @@ class TestSharedEstimates:
             assert estimate == single.value
         walls = res.column("wall_time_s")
         assert walls[0] == walls[1] and walls[2] == walls[3]
+
+    def test_grid_sweep_shares_one_tensor_grid_call_per_h(self, monkeypatch):
+        import phasespec.quadrature as quadrature
+        from phasespec.observables import observable_from_label
+
+        calls = []
+        original = quadrature.tensor_grid_integrals
+
+        def counting(state, observable, method="mu", points_per_axis=160):
+            calls.append(state.h)
+            return original(state, observable, method, points_per_axis)
+
+        monkeypatch.setattr(quadrature, "tensor_grid_integrals", counting)
+        res = run_accuracy_sweep(h_list=(0.1, 0.01), points_per_axis=40, reference_resolution=256)
+        assert calls == [0.1, 0.01]
+        monkeypatch.undo()
+        for h, method, label, estimate in zip(
+            res.column("h"), res.column("method"), res.column("observable"), res.column("estimate")
+        ):
+            state = benchmark_superposition(h)
+            single = tensor_grid_expectation(state, observable_from_label(label, 2), method, points_per_axis=40)
+            assert estimate == single
+        # every row of one h carries the wall time of the shared call
+        walls = res.column("wall_time_s")
+        assert len(set(walls[:4])) == 1 and len(set(walls[4:])) == 1
+
+
+class TestTensorGridCostModel:
+    """The tensor-grid projection charges each computed Gram row once."""
+
+    def test_charges_only_computed_rows(self):
+        from phasespec.observables import observable_from_label
+
+        st = benchmark_superposition(0.1)
+        torsional, quartic = (observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum"))
+        # torsional: one cosine row per plane; quartic: two rows per plane
+        per_row = TENSOR_COST_PER_ROW_POINT_SECONDS + 4 * TENSOR_COST_PER_GRAM_ENTRY_SECONDS
+        base = _projected_tensor_grid_seconds(100, st, [])
+        assert _projected_tensor_grid_seconds(100, st, [torsional]) - base == pytest.approx(1e4 * 2 * per_row)
+        assert _projected_tensor_grid_seconds(100, st, [torsional, quartic]) - base == pytest.approx(
+            1e4 * 6 * per_row
+        )
+
+    def test_default_sweep_far_below_budget(self):
+        from phasespec.observables import observable_from_label
+
+        obs = [observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum")]
+        total = sum(_projected_tensor_grid_seconds(160, benchmark_superposition(h), obs) for h in DEFAULT_H_LIST)
+        assert total < 1e-3 * TIME_BUDGET_SECONDS
 
 
 class TestConfigEntries:

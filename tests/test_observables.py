@@ -291,6 +291,22 @@ class TestReferenceGrid:
         with pytest.raises(ResourceGuardError):
             reference_expectation_grid(st, one, "position")
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            observable_from_polynomial_records([[1.0, [0, 0, 2, 0, 0, 0]]], 3),
+            observable_from_polynomial_records([[1.0, [2, 0]]], 1),
+            torsional_potential(3),
+        ],
+        ids=["polynomial-d3", "polynomial-d1", "torsional-d3"],
+    )
+    def test_dimension_mismatch_refused(self, A):
+        st = GaussianState.from_branches(
+            0.1, [(1.0, PhasePoint([-1.0, 1.0], [1.0, 1.0])), (1.0, PhasePoint([0.0, 1.0], [-1.0, -0.5]))]
+        )
+        with pytest.raises(ValueError, match="observable and state dimensions differ"):
+            reference_expectation_grid(st, A, "position")
+
 
 class TestReferenceGridOracle:
     """The per-axis Gram assembly equals the literal slab-by-slab trapezoid
