@@ -155,6 +155,8 @@ def tensor_grid_integrals(
         if m not in _DENSITY_MANY:
             raise ValueError(f"unknown method {m!r}")
     d, h, K = state.dim, state.h, state.n_branches
+    # Only the S_j kernels (mu, hermite-mixture) read the plane offsets Z.
+    offsets = any(m != "husimi" for m in methods)
     term_lists = [_observable_terms(A, d) for A in observables]
     # Gram rows: row 0 integrates the constant 1, then come the terms of
     # every observable in order.
@@ -177,13 +179,16 @@ def tensor_grid_integrals(
             Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
             w = np.outer(w_q[rows], w_p).ravel()
             V = _overlap_factors(plane, Q, P)
-            Z = densities._plane_offsets(plane, Q, P, V)[0]
-            Vc, Zc = V.conj(), Z.conj()
+            Vc = V.conj()
+            if offsets:
+                Z = densities._plane_offsets(plane, Q, P, V)[0]
+                Zc = Z.conj()
             for r in computed:
                 f = row_factors[r][j]
                 wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
                 I0[r, j] += (V.T * wf) @ Vc
-                Ib[r, j] += 2.0 * h * ((Z.T * wf) @ Zc)
+                if offsets:
+                    Ib[r, j] += 2.0 * h * ((Z.T * wf) @ Zc)
         copied = [r for r, fs in enumerate(row_factors) if r and fs[j] is None]
         I0[copied, j] = I0[0, j]
         Ib[copied, j] = Ib[0, j]

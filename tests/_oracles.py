@@ -244,3 +244,84 @@ def halton_digit_loop(n, dim, skip, leap=1):
         candidate += 1
     indices = skip + leap * np.arange(n, dtype=np.int64)
     return np.column_stack([radical_inverse_digit_loop(indices, b) for b in primes])
+
+
+def whole_chunk_estimate(state, observables, method, n, source, split=0.5, exact=False):
+    """Per observable (value, stderr, mean_husimi, mean_hermite) of
+    ``estimate_expectation`` by a whole-chunk pass: each chunk's samples are
+    assembled at once and every observable is evaluated on the whole chunk,
+    then the chunk sums go through the same reduction tree and moments.
+    The quantile transforms are the module's own."""
+    from phasespec import sampling
+    from phasespec.core import state_norm2
+    from phasespec.densities import hermite_mixture_many, husimi_many
+
+    d, h = state.dim, state.h
+    sqrt_h = np.sqrt(h)
+    cum = np.cumsum(sampling._branch_probabilities(state))
+
+    def assemble(component, u):
+        count = u.shape[0]
+        branch = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), state.n_branches - 1)
+        Qc, Pc = state.centers_q[branch], state.centers_p[branch]
+        if component == "husimi":
+            g = sampling.ndtri(u[:, 2 : 2 * d + 2])
+            return Qc + sqrt_h * g[:, :d], Pc + sqrt_h * g[:, d:]
+        plane = np.minimum((u[:, 1] * d).astype(np.int64), d - 1)
+        theta = 2.0 * np.pi * u[:, 2]
+        radius = np.sqrt(2.0 * h * sampling.gamma2_inverse_cdf(u[:, 3]))
+        qoff, poff = np.empty((count, d)), np.empty((count, d))
+        if d > 1:
+            g = sampling.ndtri(u[:, 4 : 2 * d + 2])
+            others = np.arange(d)[None, :] != plane[:, None]
+            qoff[others] = (sqrt_h * g[:, : d - 1]).ravel()
+            poff[others] = (sqrt_h * g[:, d - 1 :]).ravel()
+        rows = np.arange(count)
+        qoff[rows, plane] = radius * np.cos(theta)
+        poff[rows, plane] = radius * np.sin(theta)
+        return Qc + qoff, Pc + poff
+
+    def chunk_sums(component, s, e):
+        Q, P = assemble(component, source.uniform_block(s, e - s))
+        if exact:
+            if component == "husimi":
+                target, proposal = husimi_many(state, Q, P), sampling._proposal_husimi(state, Q, P)
+            else:
+                target, proposal = hermite_mixture_many(state, Q, P), sampling._proposal_hermite(state, Q, P)
+            denom = proposal * state_norm2(state)
+        out = []
+        for obs in observables:
+            vals = obs.evaluate(Q, P)
+            if exact:
+                vals = vals * target / denom
+            out.append((e - s, np.sum(vals), np.sum(vals * vals)))
+        return np.array(out)
+
+    if method == "mu":
+        n_h = min(max(int(round(n * split)), 1), n - 1)
+        plan = [("husimi", 0, n_h), ("hermite-mixture", n_h, n)]
+    else:
+        plan = [("husimi", 0, n)]
+    stats = {
+        comp: sampling._pairwise_reduce([chunk_sums(comp, s, e) for s, e in sampling._chunk_ranges(lo, hi)])
+        for comp, lo, hi in plan
+    }
+
+    def moments(acc):
+        count = int(acc[0])
+        mean = acc[1] / count
+        return count, mean, max(acc[2] / count - mean * mean, 0.0) * count / max(count - 1, 1)
+
+    results = []
+    for i in range(len(observables)):
+        cnt_h, mean_h, var_h = moments(stats["husimi"][i])
+        if method == "mu":
+            cnt_s, mean_s, var_s = moments(stats["hermite-mixture"][i])
+            w_h, w_s = 1.0 + d / 2.0, d / 2.0
+            value = w_h * mean_h - w_s * mean_s
+            variance = w_h**2 * var_h / cnt_h + w_s**2 * var_s / cnt_s
+        else:
+            value, variance, mean_s = mean_h, var_h / cnt_h, None
+        stderr = 0.0 if source.deterministic else float(np.sqrt(variance))
+        results.append((float(value), stderr, float(mean_h), None if mean_s is None else float(mean_s)))
+    return results

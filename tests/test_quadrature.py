@@ -201,6 +201,18 @@ class TestSharedPass:
                 assert pair == tensor_grid_integrals(st, A, method, points_per_axis=points)
                 assert pair == tensor_grid_every_row(st, A, method, points)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_husimi_only_equals_shared_entry(self, d):
+        # a husimi-only walk builds no plane offsets, yet its pairs are the
+        # husimi entries of a walk that does
+        rng = np.random.default_rng(7 + d)
+        st = random_superposition(rng, 3, d, 0.08)
+        observables = self.observables(rng, d)
+        points = 16 if d == 3 else 40
+        shared = tensor_grid_integrals(st, observables, ["mu", "husimi"], points_per_axis=points)
+        alone = tensor_grid_integrals(st, observables, ["husimi"], points_per_axis=points)
+        assert alone == {"husimi": shared["husimi"]}
+
     def test_single_arguments_keep_pair_shape(self):
         st = benchmark_superposition(0.1)
         A = quartic_momentum(2)

@@ -22,11 +22,11 @@ from phasespec import (
     weyl_expectation_gaussian,
 )
 from phasespec.exceptions import NonNegligibleCrossTermsError
-from phasespec.observables import observable_from_polynomial_records, torsional_potential
+from phasespec.observables import Observable, observable_from_polynomial_records, torsional_potential
 from phasespec.quadrature import tensor_grid_expectation
 from phasespec.sampling import CHUNK_SIZE, _first_primes, _radical_inverse
 
-from _oracles import halton_digit_loop
+from _oracles import halton_digit_loop, whole_chunk_estimate
 
 
 def exact_radical_inverse(index, base):
@@ -262,6 +262,31 @@ class TestPointSource:
         block = src.uniform_block(10, 50)
         direct = halton_points(50, 4, skip=1010)
         assert np.array_equal(block, direct)
+
+    def test_philox_tail_rows_match_whole_chunk(self, monkeypatch):
+        # Zero every 997th double so the 2^-54 replacement runs on both the
+        # whole chunk and its heads.
+        generator = np.random.Generator
+
+        class ZeroingGenerator:
+            def __init__(self, bit_generator):
+                self._gen = generator(bit_generator)
+
+            def random(self, shape):
+                out = self._gen.random(shape)
+                out.reshape(-1)[::997] = 0.0
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
+        src = PointSource(dimension=5, seed=11)
+        full = src.uniform_block(CHUNK_SIZE, CHUNK_SIZE)
+        assert np.count_nonzero(full == 2.0**-54) == -(-full.size // 997)
+        for lo, hi in [(0, 1), (0, 2048), (0, 20624), (5, 8480), (100, CHUNK_SIZE - 1)]:
+            tail = src.uniform_block(CHUNK_SIZE + lo, hi - lo)
+            assert tail.view(np.int64).tolist() == full[lo:hi].view(np.int64).tolist()
+        # a range straddling the chunk edge reads the next chunk's head
+        straddle = src.uniform_block(CHUNK_SIZE - 10, 30)
+        assert np.array_equal(straddle[10:], full[:20])
 
     def test_generator_identity_strings(self):
         assert "philox4x64" in PointSource(dimension=2, seed=7).generator_id
@@ -601,3 +626,59 @@ class TestSharedStream:
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
         with pytest.raises(ValueError, match="at least one observable"):
             estimate_expectation(st, [], n=100)
+
+
+def _blocked_cases():
+    for kind in ("pseudo-random", "halton"):
+        for method in ("mu", "husimi"):
+            for K in (1, 3):
+                for d in (1, 2, 8, 33):
+                    yield kind, method, K, d, "neglect"
+                    if d <= 3:
+                        yield kind, method, K, d, "exact"
+
+
+class TestBlockedPass:
+    """The estimator's row-blocked pass over each chunk returns the
+    whole-chunk pass bit for bit."""
+
+    @staticmethod
+    def state(K, d):
+        # branches 4 apart in q_1: negligible cross terms at h = 0.05
+        branches = []
+        for k, c in enumerate((1.0, 0.5j, -0.7 + 0.2j)[:K]):
+            q = np.full(d, 0.1)
+            q[0] += 4.0 * k
+            branches.append((c, PhasePoint(q, np.linspace(-0.3, 0.3, d))))
+        return GaussianState.from_branches(0.05, branches)
+
+    @staticmethod
+    def observables(d):
+        cubic = [0] * (2 * d)
+        cubic[0] += 2
+        cubic[2 * d - 1] += 1
+        linear = [0] * (2 * d)
+        linear[d - 1] = 1
+        return [
+            observable_from_polynomial_records([[1.0, cubic], [0.5, linear]], d),
+            Observable("p-squared", lambda Q, P: np.sum(P * P, axis=1)),
+        ]
+
+    @pytest.mark.parametrize("kind,method,K,d,mode", list(_blocked_cases()))
+    def test_equals_whole_chunk_pass(self, kind, method, K, d, mode):
+        st = self.state(K, d)
+        observables = self.observables(d)
+        source = PointSource(dimension=2 * d + 2, kind=kind, seed=3)
+        # The mu split puts the Hermite range across the first chunk edge;
+        # neither range is a whole number of blocks.
+        n = CHUNK_SIZE + 3001
+        got = estimate_expectation(
+            st, observables, method=method, n=n, source=source, policy=CrossTermPolicy(mode=mode)
+        )
+        want = whole_chunk_estimate(st, observables, method, n, source, exact=mode == "exact")
+
+        def bits(rows):
+            return np.array([[np.nan if x is None else x for x in row] for row in rows]).view(np.int64)
+
+        got_rows = [(r.value, r.stderr, r.mean_husimi, r.mean_hermite) for r in got]
+        assert np.array_equal(bits(got_rows), bits(want))
