@@ -63,9 +63,11 @@ DEFAULT_D_LIST = (2, 8, 32)
 # Single-thread cost model for the resource guard.  A plain sampled estimate
 # (projected_seconds) costs SAMPLE_COST_SECONDS + d SAMPLE_COST_PER_DIM_SECONDS
 # per sample: fitted to traced estimates of the Henon-Heiles run (Halton, one
-# worker, three observables, n = 2**17), which measured 8.6e-7, 1.76e-6 and
-# 5.6e-6 s per sample at d = 2, 8 and 32 on a 2-core Xeon host (medians of
-# 20 estimates each), with a few percent of headroom.
+# worker, three observables, n = 2**17), which measured 6.0-7.3e-7,
+# 1.29-1.66e-6 and 4.0-5.1e-6 s per sample at d = 2, 8 and 32 on a 2-core
+# Xeon host (six runs over half an hour of host drift, Halton skips 1000
+# and 1001, medians of 12-13 estimates each): projected / measured
+# 0.88-1.15, the minimax fit.
 # A marginal-grid reference with K branches and T observable terms costs, per
 # point of each of its d axes, GRID_COST_PER_AXIS_POINT_SECONDS x K for the
 # wavepacket table plus GRID_COST_PER_GRAM_ENTRY_SECONDS x K^2 x (T + 1) for
@@ -84,8 +86,8 @@ DEFAULT_D_LIST = (2, 8, 32)
 # K = 1, 2, 3, 4, 6, 8, 1 + T rows per plane for T = 1, 3, 7, 40 to 160
 # points per axis): projected / measured 0.50-2.21, highest for the smallest
 # calls, where the per-call overhead the model leaves out is lowest.
-SAMPLE_COST_SECONDS = 5.5e-7
-SAMPLE_COST_PER_DIM_SECONDS = 1.6e-7
+SAMPLE_COST_SECONDS = 4.3e-7
+SAMPLE_COST_PER_DIM_SECONDS = 1.29e-7
 GRID_COST_PER_AXIS_POINT_SECONDS = 7.2e-8
 GRID_COST_PER_GRAM_ENTRY_SECONDS = 3.5e-8
 GRID_COST_PER_TERM_POINT_SECONDS = 9.4e-8

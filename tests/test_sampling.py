@@ -245,6 +245,50 @@ class TestGamma2Tails:
         assert gamma2_cdf(-1.0) == 0.0
 
 
+_U_OPEN = strategies.one_of(
+    strategies.floats(min_value=2.0**-54, max_value=1.0 - 2.0**-53),
+    strategies.floats(min_value=1.0, max_value=54.0).map(lambda e: 2.0**-e),
+    strategies.floats(min_value=1.0, max_value=53.0).map(lambda e: 1.0 - 2.0**-e),
+)
+
+
+class TestGamma2Newton:
+    """The Newton quantile across (0, 1), both tails included."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(strategies.lists(_U_OPEN, min_size=2, max_size=40))
+    def test_matches_scipy_and_is_monotone(self, values):
+        from scipy.special import gammaincinv
+
+        u = np.unique(values)
+        x = gamma2_inverse_cdf(u)
+        assert np.max(np.abs(x / gammaincinv(2.0, u) - 1.0)) <= 4e-15
+        assert [gamma2_inverse_cdf(float(v)) for v in u] == x.tolist()
+        # Non-decreasing up to rounding, and strictly increasing wherever
+        # u moves by more than the rounding can hide (the relative change
+        # of the root is at least half that of u).
+        lo, hi = x[:-1], x[1:]
+        assert np.all(hi >= lo * (1.0 - 4e-15))
+        apart = u[1:] > u[:-1] * (1.0 + 1e-13)
+        assert np.all(hi[apart] > lo[apart])
+
+    def test_against_mpmath_roots(self):
+        import mpmath
+
+        mpmath.mp.dps = 40
+        u = np.concatenate([
+            2.0 ** -np.arange(54.0, 1.0, -2.0),
+            np.linspace(0.04, 0.96, 13),
+            1.0 - 2.0 ** -np.arange(2.0, 54.0, 2.0),
+        ])
+        x = gamma2_inverse_cdf(u)
+        for ui, xi in zip(u, x):
+            root = mpmath.findroot(
+                lambda y: -mpmath.expm1(-y) - y * mpmath.exp(-y) - mpmath.mpf(float(ui)), mpmath.mpf(float(xi))
+            )
+            assert abs(xi / root - 1) < 1e-15, ui
+
+
 class TestPointSource:
     def test_block_matches_slicing(self):
         src = PointSource(dimension=5, seed=123)
