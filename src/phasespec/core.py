@@ -206,15 +206,44 @@ def gaussian_overlap(z1: PhasePoint, z2: PhasePoint, h: float) -> complex:
     return complex(np.exp(-d2 / (4.0 * h)) * (np.cos(phase) + 1j * np.sin(phase)))
 
 
-def _overlap_factors(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """O[i, k] = <g_{w_i}, g_{z_k}> for evaluation points w_i = (Q[i], P[i])."""
+def _overlap_exponents(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """log O[i, k], the exponent of :func:`_overlap_factors`."""
     h = state.h
     dq = Q[:, None, :] - state.centers_q[None, :, :]
     dp = P[:, None, :] - state.centers_p[None, :, :]
     dist2 = np.sum(dq * dq + dp * dp, axis=-1)
     # sigma(w, z_k) = Q . p_k - P . q_k
     sig = Q @ state.centers_p.T - P @ state.centers_q.T
-    return np.exp(-dist2 / (4.0 * h) + 1j * sig / (2.0 * h))
+    return -dist2 / (4.0 * h) + 1j * sig / (2.0 * h)
+
+
+def _overlap_factors(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """O[i, k] = <g_{w_i}, g_{z_k}> for evaluation points w_i = (Q[i], P[i])."""
+    return np.exp(_overlap_exponents(state, Q, P))
+
+
+def _pair_terms(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branch pairs k <= l of a superposition as Gaussians with complex means.
+
+    Returns (C, L, M) over the pairs in ``np.triu_indices`` order:
+    C = m_kl conj(c_k) c_l with m_kl = 1 on the diagonal and 2 off it,
+    L = log <g_{z_k}, g_{z_l}>, and the complex means M = (Mq, Mp) of shape
+    (pairs, 2d),
+
+        Mq = (q_k + q_l)/2 + (i/2)(p_l - p_k),
+        Mp = (p_k + p_l)/2 - (i/2)(q_l - q_k).
+
+    The pair weight is W_kl = C e^L.  A sesquilinear quantity whose
+    single-branch form is f(z) is Re sum_kl W_kl f(M_kl), with f continued
+    analytically to complex centres.
+    """
+    k, l = np.triu_indices(state.n_branches)
+    c, q, p = state.coefficients, state.centers_q, state.centers_p
+    C = np.where(k == l, 1.0, 2.0) * np.conj(c[k]) * c[l]
+    L = _overlap_exponents(state, q, p)[k, l]
+    Mq = 0.5 * (q[k] + q[l]) + 0.5j * (p[l] - p[k])
+    Mp = 0.5 * (p[k] + p[l]) - 0.5j * (q[l] - q[k])
+    return C, L, np.hstack([Mq, Mp])
 
 
 def state_norm2(state: GaussianState) -> float:

@@ -34,6 +34,20 @@ The constants are fixed by agreement with the single-branch closed forms
 and validated against direct Wigner-transform quadrature and numerical
 convolution in the test suite.
 
+The Wigner function and mu are sums over branch pairs k <= l of these
+closed forms at complex centres.  With the pair weights
+W_kl = m_kl conj(c_k) c_l <g_{z_k}, g_{z_l}> (m_kl = 1 on the diagonal, 2 off
+it), the complex means M_kl = (Mq, Mp) of :func:`~phasespec.core._pair_terms`
+and the bilinear square s2 = sum (w - M_kl)^2 (not |w - M_kl|^2),
+
+    W(w)  = (pi h)^-d  Re sum_kl W_kl e^{-s2/h},
+    mu(w) = (2 pi h)^-d Re sum_kl W_kl (1 + d/2 - s2/(4h)) e^{-s2/(2h)}.
+
+The log of the overlap <g_{z_k}, g_{z_l}> is added to the exponent rather
+than multiplied in, so a far-apart pair whose overlap underflows cannot meet
+an overflowing e^{-s2/h}.  H and the S_j keep the O(mK) amplitude form below,
+which the sampler calls.
+
 Batched evaluation: every density has a ``*_many`` variant taking point
 coordinates Q, P of shape (m, d) and returning shape (m,).  The scalar
 functions wrap these for a single :class:`~phasespec.core.PhasePoint`.
@@ -45,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, PhasePoint, _overlap_factors
+from .core import GaussianState, PhasePoint, _overlap_factors, _pair_terms
 
 __all__ = [
     "CrossTermPolicy",
@@ -61,7 +75,6 @@ __all__ = [
     "hermite_mixture_many",
     "mu_many",
     "mu_combination_many",
-    "mu_single_branch_many",
     "laplacian_husimi_many",
 ]
 
@@ -175,106 +188,55 @@ def mu_combination_many(state: GaussianState, Q, P) -> np.ndarray:
     return (2.0 * np.pi * state.h) ** (-d) * total
 
 
-def mu_single_branch_many(center_q, center_p, h: float, Q, P) -> np.ndarray:
-    """Closed form mu_{g_z}(w) = (2 pi h)^-d (1 + d/2 - r^2/(4h)) e^{-r^2/(2h)}
-    with r = |w - z|, for a unit-coefficient wavepacket at z."""
-    center_q = np.atleast_1d(np.asarray(center_q, dtype=float))
-    center_p = np.atleast_1d(np.asarray(center_p, dtype=float))
-    d = center_q.size
-    Q, P = _points(Q, P, d)
-    dq = Q - center_q[None, :]
-    dp = P - center_p[None, :]
-    r2 = np.sum(dq * dq + dp * dp, axis=-1)
-    pref = (2.0 * np.pi * h) ** (-d)
-    return pref * (1.0 + d / 2.0 - r2 / (4.0 * h)) * np.exp(-r2 / (2.0 * h))
-
-
-def _pair_geometry(state, k, l, Q, P):
-    """Shared factors of the (k, l) sesquilinear pair term.
-
-    Returns (OkOl, B) with OkOl = O_k(w) conj(O_l(w)) and the bracket
-    B(w) = (1 + d/2) - ((w-z_k).(w-z_l) - i sigma(w-z_k, w-z_l)) / (4h),
-    so that the mu pair term is (2 pi h)^-d OkOl B.
-    """
-    h = state.h
-    qk, pk = state.centers_q[k], state.centers_p[k]
-    ql, pl = state.centers_q[l], state.centers_p[l]
-    ak, bk = Q - qk[None, :], P - pk[None, :]
-    al, bl = Q - ql[None, :], P - pl[None, :]
-    dist2 = np.sum(ak * ak + bk * bk + al * al + bl * bl, axis=-1)
-    # sigma(w, z_k - z_l) = Q.(p_k - p_l) - P.(q_k - q_l)
-    sig_w = Q @ (pk - pl) - P @ (qk - ql)
-    OkOl = np.exp(-dist2 / (4.0 * h) + 1j * sig_w / (2.0 * h))
-    dot = np.sum(ak * al + bk * bl, axis=-1)
-    sig_pair = np.sum(ak * bl - bk * al, axis=-1)
-    B = (1.0 + state.dim / 2.0) - (dot - 1j * sig_pair) / (4.0 * h)
-    return OkOl, B
+def _pair_squares(state: GaussianState, Q: np.ndarray, P: np.ndarray):
+    """(C, L, s2) with C, L from :func:`~phasespec.core._pair_terms` and the
+    (m, pairs) bilinear squares s2 = sum over the 2d coordinates of
+    (w - M_kl)^2, accumulated one coordinate at a time in place."""
+    C, L, M = _pair_terms(state)
+    s2 = np.zeros((Q.shape[0], C.size), dtype=complex)
+    t = np.empty_like(s2)
+    for j, x in enumerate(np.concatenate((Q.T, P.T))):
+        np.subtract(x[:, None], M[:, j], out=t)
+        s2 += np.multiply(t, t, out=t)
+    return C, L, s2
 
 
 def mu_many(state: GaussianState, Q, P, policy: CrossTermPolicy | None = None) -> np.ndarray:
-    """Corrected density mu(w), branch-pairwise closed form.
+    """Corrected density mu(w), as the single-branch closed form
+    (2 pi h)^-d (1 + d/2 - s2/(4h)) e^{-s2/(2h)} summed over branch pairs.
 
-    Diagonal terms reproduce the single-branch closed form; off-diagonal
-    pairs carry the interference term damped by exp(-|z_k - z_l|^2 / (8h))
-    and are dropped under a ``neglect`` policy when below its threshold.
-    Coefficients enter each (k, l) pair through c_k conj(c_l).
+    Off-diagonal pairs carry the interference term damped by
+    exp(-|z_k - z_l|^2 / (8h)) and are dropped under a ``neglect`` policy
+    when below its threshold.
     """
     if policy is None:
         policy = CrossTermPolicy()
     Q, P = _points(Q, P, state.dim)
-    pref = (2.0 * np.pi * state.h) ** (-state.dim)
-    c = state.coefficients
-    damp = policy.pair_damping(state)
-    total = np.zeros(Q.shape[0])
-    for k in range(state.n_branches):
-        OkOk, Bk = _pair_geometry(state, k, k, Q, P)
-        total += (abs(c[k]) ** 2) * OkOk.real * Bk.real
-        for l in range(k + 1, state.n_branches):
-            if policy.mode == "neglect" and damp[k, l] < policy.threshold:
-                continue
-            OkOl, B = _pair_geometry(state, k, l, Q, P)
-            total += 2.0 * (c[k] * np.conj(c[l]) * OkOl * B).real
-    return pref * total
+    h, d = state.h, state.dim
+    C, L, s2 = _pair_squares(state, Q, P)
+    if policy.mode == "neglect":
+        k, l = np.triu_indices(state.n_branches)
+        C = np.where((k == l) | (policy.pair_damping(state)[k, l] >= policy.threshold), C, 0.0)
+    s2 /= -2.0 * h
+    envelope = s2 + L
+    np.exp(envelope, out=envelope)
+    s2 *= 0.5
+    s2 += 1.0 + d / 2.0
+    s2 *= envelope
+    return (2.0 * np.pi * h) ** (-d) * (s2 @ C).real
 
 
 def wigner_many(state: GaussianState, Q, P) -> np.ndarray:
-    """Wigner function W(w); real-valued but not sign-definite.
-
-    Diagonal branches contribute |c_k|^2 (pi h)^-d e^{-|w - z_k|^2 / h}; each
-    pair (k, l) adds an oscillatory term localized at the midpoint of the
-    centers:
-
-        2 (pi h)^-d e^{-|w - m|^2 / h}
-            Re[ c_k conj(c_l) e^{ i (sigma(z_k, z_l)/2 - sigma(z_k - z_l, w)) / h } ],
-
-    with m = (z_k + z_l)/2.  The constant phase offset sigma(z_k, z_l)/2 is
-    forced by the wavepacket phase convention and verified against direct
-    Wigner-transform quadrature in the tests.
-    """
+    """Wigner function W(w) = (pi h)^-d Re sum_kl W_kl e^{-s2/h}; real-valued
+    but not sign-definite.  A pair (k, l) is an oscillatory term localized at
+    the midpoint of the centers."""
     Q, P = _points(Q, P, state.dim)
-    h, d = state.h, state.dim
-    pref = (np.pi * h) ** (-d)
-    c = state.coefficients
-    cq, cp = state.centers_q, state.centers_p
-    total = np.zeros(Q.shape[0])
-    for k in range(state.n_branches):
-        dq = Q - cq[k][None, :]
-        dp = P - cp[k][None, :]
-        r2 = np.sum(dq * dq + dp * dp, axis=-1)
-        total += (abs(c[k]) ** 2) * np.exp(-r2 / h)
-        for l in range(k + 1, state.n_branches):
-            mq = 0.5 * (cq[k] + cq[l])
-            mp = 0.5 * (cp[k] + cp[l])
-            dq = Q - mq[None, :]
-            dp = P - mp[None, :]
-            r2 = np.sum(dq * dq + dp * dp, axis=-1)
-            # sigma(z_k - z_l, w) = (q_k - q_l).P - (p_k - p_l).Q
-            sig_w = P @ (cq[k] - cq[l]) - Q @ (cp[k] - cp[l])
-            sig_kl = float(np.dot(cq[k], cp[l]) - np.dot(cp[k], cq[l]))
-            phase = (0.5 * sig_kl - sig_w) / h
-            cross = c[k] * np.conj(c[l]) * np.exp(-r2 / h + 1j * phase)
-            total += 2.0 * cross.real
-    return pref * total
+    h = state.h
+    C, L, s2 = _pair_squares(state, Q, P)
+    s2 /= -h
+    s2 += L
+    np.exp(s2, out=s2)
+    return (np.pi * h) ** (-state.dim) * (s2 @ C).real
 
 
 def laplacian_husimi_many(state: GaussianState, Q, P) -> np.ndarray:

@@ -594,7 +594,7 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float]
     state = resolve_state(config)
     A = resolve_observable(config, state.dim)
     n = config.resolved_n()
-    exact_reference = A.polynomial is not None and state.n_branches == 1
+    exact_reference = A.polynomial is not None
     side = None if exact_reference or state.dim > 3 else _SIDE_FOR.get(A.depends_on())
     grid_seconds = 0.0
     if side is not None:

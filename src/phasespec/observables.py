@@ -3,10 +3,10 @@
 An :class:`Observable` bundles a vectorized evaluator with an optional
 sparse polynomial representation over the 2d phase-space variables
 (q_1..q_d, p_1..p_d).  Polynomial observables admit exact expectation values
-against a single Gaussian wavepacket through one-dimensional normal moments
-(:func:`weyl_expectation_gaussian`): under the Wigner calculus every phase
-coordinate is an independent normal with the branch center as mean and
-variance h/2.
+against any Gaussian superposition through one-dimensional normal moments
+(:func:`weyl_expectation_gaussian`): under the Wigner calculus each branch
+pair (k, l) makes every phase coordinate an independent normal with the
+pair's complex mean M_kl and variance h/2 (a single wavepacket: its center).
 
 For observables that depend on position only or momentum only,
 :func:`reference_expectation_grid` integrates against the exact marginal
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GaussianState, PhasePoint, validate_h
+from .core import GaussianState, PhasePoint, _pair_terms, state_norm2, validate_h
 from .exceptions import ResourceGuardError
 from .quadrature import _trapezoid_weights
 
@@ -56,8 +56,9 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def _normal_moment(mean: float, var: float, e: int) -> float:
-    """E[X^e] for X ~ N(mean, var), via the central moment table
+def _normal_moment(mean, var: float, e: int):
+    """E[X^e] for X ~ N(mean, var) with a real or complex mean (array or
+    scalar), via the central moment table
     E[(X-mean)^k] = (k-1)!! var^(k/2) for even k, 0 for odd k."""
     total = 0.0
     for k in range(0, e + 1, 2):
@@ -343,33 +344,30 @@ def henon_heiles_total(spec: HenonHeilesSpec) -> Observable:
 
 
 def weyl_expectation_gaussian(A, state: GaussianState) -> float:
-    """Exact expectation of a polynomial symbol against a single wavepacket.
+    """Exact normalized expectation <psi|A^w|psi> / <psi|psi> of a polynomial
+    symbol against a superposition.
 
-    Integrates A against the wavepacket's (Gaussian) Wigner function: every
-    phase coordinate is an independent N(center, h/2) variable, so each
-    monomial reduces to a product of one-dimensional normal moments.  The
-    wavepacket is normalized, so no norm division is needed.
+    Each branch pair (k, l) of :func:`~phasespec.core._pair_terms`
+    integrates A against a Gaussian whose phase coordinates are independent
+    N(M_kl, h/2) variables with complex means, so each monomial reduces to a
+    product of one-dimensional normal moments; the pairs are summed with
+    their weights W_kl.
     """
     poly = A.polynomial if isinstance(A, Observable) else A
     if not isinstance(poly, PolynomialSymbol):
         raise ValueError("weyl_expectation_gaussian requires a polynomial observable")
-    if state.n_branches != 1:
-        raise ValueError(
-            "weyl_expectation_gaussian supports single-branch states only; "
-            "use reference_expectation_grid for superpositions"
-        )
     if poly.dim != state.dim:
         raise ValueError("observable and state dimensions differ")
-    means = np.concatenate([state.centers_q[0], state.centers_p[0]])
+    C, L, M = _pair_terms(state)
     var = state.h / 2.0
-    total = 0.0
+    total = np.zeros(C.size, dtype=complex)
     for coeff, exps in poly.terms:
         prod = coeff
-        for mean, e in zip(means, exps):
+        for mean, e in zip(M.T, exps):
             if e:
-                prod *= _normal_moment(mean, var, e)
+                prod = prod * _normal_moment(mean, var, e)
         total += prod
-    return float(total)
+    return float(((C * np.exp(L)) @ total).real / state_norm2(state))
 
 
 def _wavepacket_columns(state: GaussianState, X: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ quadrature so it stays independent of the closed forms under test.
 import numpy as np
 from scipy.integrate import quad
 
+from phasespec.densities import _points
+
 
 def wavepacket_1d(q0, p0, h):
     """Position-space wavepacket x -> g_(q0,p0)(x) in one dimension."""
@@ -325,3 +327,39 @@ def whole_chunk_estimate(state, observables, method, n, source, split=0.5, exact
         stderr = 0.0 if source.deterministic else float(np.sqrt(variance))
         results.append((float(value), stderr, float(mean_h), None if mean_s is None else float(mean_s)))
     return results
+
+
+def mu_single_branch_many(center_q, center_p, h: float, Q, P) -> np.ndarray:
+    """Closed form mu_{g_z}(w) = (2 pi h)^-d (1 + d/2 - r^2/(4h)) e^{-r^2/(2h)}
+    with r = |w - z|, for a unit-coefficient wavepacket at z."""
+    center_q = np.atleast_1d(np.asarray(center_q, dtype=float))
+    center_p = np.atleast_1d(np.asarray(center_p, dtype=float))
+    d = center_q.size
+    Q, P = _points(Q, P, d)
+    dq = Q - center_q[None, :]
+    dp = P - center_p[None, :]
+    r2 = np.sum(dq * dq + dp * dp, axis=-1)
+    pref = (2.0 * np.pi * h) ** (-d)
+    return pref * (1.0 + d / 2.0 - r2 / (4.0 * h)) * np.exp(-r2 / (2.0 * h))
+
+
+def _pair_geometry(state, k, l, Q, P):
+    """Shared factors of the (k, l) sesquilinear pair term.
+
+    Returns (OkOl, B) with OkOl = O_k(w) conj(O_l(w)) and the bracket
+    B(w) = (1 + d/2) - ((w-z_k).(w-z_l) - i sigma(w-z_k, w-z_l)) / (4h),
+    so that the mu pair term is (2 pi h)^-d OkOl B.
+    """
+    h = state.h
+    qk, pk = state.centers_q[k], state.centers_p[k]
+    ql, pl = state.centers_q[l], state.centers_p[l]
+    ak, bk = Q - qk[None, :], P - pk[None, :]
+    al, bl = Q - ql[None, :], P - pl[None, :]
+    dist2 = np.sum(ak * ak + bk * bk + al * al + bl * bl, axis=-1)
+    # sigma(w, z_k - z_l) = Q.(p_k - p_l) - P.(q_k - q_l)
+    sig_w = Q @ (pk - pl) - P @ (qk - ql)
+    OkOl = np.exp(-dist2 / (4.0 * h) + 1j * sig_w / (2.0 * h))
+    dot = np.sum(ak * al + bk * bl, axis=-1)
+    sig_pair = np.sum(ak * bl - bk * al, axis=-1)
+    B = (1.0 + state.dim / 2.0) - (dot - 1j * sig_pair) / (4.0 * h)
+    return OkOl, B

@@ -39,6 +39,8 @@ from phasespec.observables import observable_from_polynomial_records
 from phasespec.quadrature import tensor_grid_expectation, tensor_grid_integrals
 from phasespec.sampling import CHUNK_SIZE
 
+from _oracles import _pair_geometry, mu_single_branch_many
+
 
 def report(number, name, ok):
     print(f"\n[ACCEPTANCE {number}] {name}: {'PASS' if ok else 'FAIL'}")
@@ -164,7 +166,7 @@ def test_acceptance_4_density_identities():
         Q = st.centers_q[0] + 3 * np.sqrt(h) * rng.normal(size=(m, d))
         P = st.centers_p[0] + 3 * np.sqrt(h) * rng.normal(size=(m, d))
         a = D.mu_combination_many(st, Q, P)
-        b = D.mu_single_branch_many(st.centers_q[0], st.centers_p[0], h, Q, P)
+        b = mu_single_branch_many(st.centers_q[0], st.centers_p[0], h, Q, P)
         envelope = (2 * np.pi * h) ** -d * np.exp(
             -np.sum((Q - st.centers_q[0]) ** 2 + (P - st.centers_p[0]) ** 2, axis=1)
             / (2 * h)
@@ -253,7 +255,7 @@ def test_acceptance_5_cross_term_protocol():
     exact = D.mu_many(st, Q, P, CrossTermPolicy(mode="exact"))
     neglect = D.mu_many(st, Q, P, CrossTermPolicy(mode="neglect", threshold=1.1))
     damping = CrossTermPolicy().pair_damping(st)[0, 1]
-    OkOl, B = D._pair_geometry(st, 0, 1, Q, P)
+    OkOl, B = _pair_geometry(st, 0, 1, Q, P)
     bracket_max = np.max(
         2.0 * (2 * np.pi * h) ** -st.dim * (np.abs(OkOl) / damping) * np.abs(B)
     )

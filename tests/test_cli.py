@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from phasespec.cli import main
+from phasespec.experiments import benchmark_superposition
+from phasespec.observables import observable_from_label, weyl_expectation_gaussian
 
 
 def read_csv(path):
@@ -64,6 +66,17 @@ class TestExpectationCommand:
         assert "generator:" in printed
         meta, header, rows = read_csv(out)
         assert rows[0][0] == "hh-total"
+
+    def test_superposition_gets_moment_reference(self, tmp_path, capsys):
+        out = tmp_path / "exp.csv"
+        argv = ["expectation", "--observable", "hh-total", "--state", "superposition-2d",
+                "--h", "0.01", "--n", "20000", "--out", str(out)]
+        assert main(argv) == 0
+        assert "reference:" in capsys.readouterr().out
+        meta, header, rows = read_csv(out)
+        A = observable_from_label("hh-total", 2)
+        exact = weyl_expectation_gaussian(A, benchmark_superposition(0.01))
+        assert float(rows[0][header.index("reference")]) == exact
 
     def test_unknown_observable_exits_2(self, capsys):
         code = main(["expectation", "--observable", "nope", "--n", "100"])

@@ -20,8 +20,10 @@ from phasespec.observables import weyl_expectation_gaussian, observable_from_pol
 from phasespec.experiments import benchmark_superposition, fit_loglog_slope
 
 from _oracles import (
+    _pair_geometry,
     fd_laplacian,
     hermite_window_1d,
+    mu_single_branch_many,
     spectrogram_convolution_quad,
     superposition_1d,
     wavepacket_1d,
@@ -62,6 +64,18 @@ class TestWigner:
         assert np.allclose(
             D.wigner_many(st2, Q, P), 4.0 * D.wigner_many(st1, Q, P), rtol=1e-12
         )
+
+    def test_far_apart_pair_stays_finite(self):
+        # The pair overlap e^{-|z_k - z_l|^2/(4h)} = e^{-4000} underflows while
+        # e^{-s2/h} at the midpoint would be e^{+4000}; their product is the
+        # interference peak 2 (pi h)^-1.  mu there is of order e^{-2000}.
+        h = 1e-3
+        st = GaussianState.from_branches(
+            h, [(1.0, PhasePoint([-2.0], [0.0])), (1.0, PhasePoint([2.0], [0.0]))]
+        )
+        mid = PhasePoint([0.0], [0.0])
+        assert wigner(st, mid) == pytest.approx(2.0 / (np.pi * h), rel=1e-11)
+        assert mu(st, mid) == 0.0
 
     def test_superposition_vs_transform_quadrature(self):
         # complex coefficients exercise the full cross-term phase
@@ -195,7 +209,7 @@ class TestMu:
             st = GaussianState.wavepacket(h, rng.normal(size=d), rng.normal(size=d))
             Q, P = random_points_near(st, 300, rng)
             a = D.mu_combination_many(st, Q, P)
-            b = D.mu_single_branch_many(st.centers_q[0], st.centers_p[0], h, Q, P)
+            b = mu_single_branch_many(st.centers_q[0], st.centers_p[0], h, Q, P)
             envelope = (2 * np.pi * h) ** -d * np.exp(
                 -(np.sum((Q - st.centers_q[0]) ** 2 + (P - st.centers_p[0]) ** 2, axis=1))
                 / (2 * h)
@@ -238,11 +252,41 @@ class TestMu:
         Q, P = random_points_near(st, 100, rng)
         dropped = D.mu_many(st, Q, P, policy)
         kept = D.mu_many(st, Q, P, CrossTermPolicy(mode="exact"))
-        s1 = D.mu_single_branch_many(st.centers_q[0], st.centers_p[0], st.h, Q, P)
-        s2 = D.mu_single_branch_many(st.centers_q[1], st.centers_p[1], st.h, Q, P)
+        s1 = mu_single_branch_many(st.centers_q[0], st.centers_p[0], st.h, Q, P)
+        s2 = mu_single_branch_many(st.centers_q[1], st.centers_p[1], st.h, Q, P)
         assert np.allclose(dropped, s1 + s2, rtol=1e-13, atol=1e-300)
         # at h this small the cross term also underflows in the exact path
         assert np.array_equal(kept, dropped)
+
+    def test_neglect_mask_drops_only_pairs_below_threshold(self):
+        # pair dampings 0.48 for (0, 1), 0.34 for (1, 2) and 0.11 for (0, 2):
+        # a 0.4 threshold keeps (0, 1) and drops the other two
+        h = 0.1
+        st = GaussianState.from_branches(
+            h,
+            [
+                (1.0 + 0.2j, PhasePoint([-0.6, 0.1], [0.2, 0.0])),
+                (0.7 - 0.5j, PhasePoint([0.0, -0.1], [-0.1, 0.3])),
+                (-0.4 + 0.6j, PhasePoint([0.7, 0.2], [0.1, -0.2])),
+            ],
+        )
+        policy = CrossTermPolicy(mode="neglect", threshold=0.4)
+        damp = policy.pair_damping(st)
+        pairs = [(k, l) for k in range(3) for l in range(k + 1, 3)]
+        dropped = [(k, l) for k, l in pairs if damp[k, l] < policy.threshold]
+        assert dropped == [(0, 2), (1, 2)]
+        rng = np.random.default_rng(17)
+        Q, P = random_points_near(st, 500, rng, spread=4.0)
+        exact = D.mu_many(st, Q, P)
+        c = st.coefficients
+        removed = np.zeros(len(Q))
+        for k, l in dropped:
+            OkOl, B = _pair_geometry(st, k, l, Q, P)
+            removed += 2.0 * (c[k] * np.conj(c[l]) * OkOl * B).real
+        removed *= (2 * np.pi * h) ** -st.dim
+        assert np.max(np.abs(removed)) > 0.02 * np.max(np.abs(exact))
+        neglect = D.mu_many(st, Q, P, policy)
+        assert np.max(np.abs(neglect - (exact - removed))) <= 1e-13 * np.max(np.abs(exact))
 
     def test_cross_term_damping_bound(self):
         # |mu_exact - mu_neglect| <= damping * max |interference bracket|
@@ -257,7 +301,7 @@ class TestMu:
         damping = policy_all.pair_damping(st)[0, 1]
         assert 1e-6 < damping < 1e-3
         # independent bound from the interference bracket magnitude
-        OkOl, B = D._pair_geometry(st, 0, 1, Q, P)
+        OkOl, B = _pair_geometry(st, 0, 1, Q, P)
         envelope = np.abs(OkOl) / damping  # e^{-|w - midpoint|^2 / (2h)}
         bracket_max = np.max(2.0 * (2 * np.pi * h) ** -st.dim * envelope * np.abs(B))
         assert np.max(np.abs(exact - neglect)) <= damping * bracket_max * (1 + 1e-12)

@@ -181,14 +181,6 @@ class TestWeylExpectation:
         shuffled = PolynomialSymbol(tuple(reversed(a.terms)))
         assert weyl_expectation_gaussian(shuffled, st) == weyl_expectation_gaussian(a, st)
 
-    def test_multi_branch_rejected(self):
-        st = GaussianState.from_branches(
-            0.05, [(1.0, PhasePoint([0.0], [0.0])), (1.0, PhasePoint([3.0], [0.0]))]
-        )
-        A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
-        with pytest.raises(ValueError):
-            weyl_expectation_gaussian(A, st)
-
     def test_non_polynomial_rejected(self):
         st = GaussianState.wavepacket(0.05, [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
