@@ -32,7 +32,6 @@ from .exceptions import NonFiniteResultError, ResourceGuardError
 from .observables import (
     HenonHeilesSpec,
     Observable,
-    henon_heiles_energy,
     henon_heiles_total,
     observable_from_label,
     observable_from_polynomial_records,
@@ -63,11 +62,15 @@ DEFAULT_D_LIST = (2, 8, 32)
 # Single-thread cost model for the resource guard.  A plain sampled estimate
 # (projected_seconds) costs SAMPLE_COST_SECONDS + d SAMPLE_COST_PER_DIM_SECONDS
 # per sample: fitted to traced estimates of the Henon-Heiles run (Halton, one
-# worker, three observables, n = 2**17), which measured 6.0-7.3e-7,
-# 1.29-1.66e-6 and 4.0-5.1e-6 s per sample at d = 2, 8 and 32 on a 2-core
-# Xeon host (six runs over half an hour of host drift, Halton skips 1000
-# and 1001, medians of 12-13 estimates each): projected / measured
-# 0.88-1.15, the minimax fit.
+# worker, three observables of which hh-total is summed from the other two,
+# n = 2**17), which measured 4.8-5.8e-7, 0.97-1.25e-6 and 3.0-3.7e-6 s per
+# sample at d = 2, 8 and 32 on a 2-core Xeon host (five runs, Halton skips
+# 1000-1004, medians of 16-20 estimates each): projected / measured
+# 0.91-1.09, 0.88-1.13 and 0.92-1.12 at d = 2, 8 and 32, the minimax fit.
+# Philox (--sampler mc) runs of the same estimates, ten runs with seeds 0-4
+# and medians of six estimates each, measured 4.1-6.0e-7, 1.07-1.33e-6 and
+# 3.35-3.87e-6 s per sample: projected / measured 0.88-1.27, 0.82-1.03 and
+# 0.88-1.02, so the constants fit both samplers.
 # A marginal-grid reference with K branches and T observable terms costs, per
 # point of each of its d axes, GRID_COST_PER_AXIS_POINT_SECONDS x K for the
 # wavepacket table plus GRID_COST_PER_GRAM_ENTRY_SECONDS x K^2 x (T + 1) for
@@ -86,8 +89,8 @@ DEFAULT_D_LIST = (2, 8, 32)
 # K = 1, 2, 3, 4, 6, 8, 1 + T rows per plane for T = 1, 3, 7, 40 to 160
 # points per axis): projected / measured 0.50-2.21, highest for the smallest
 # calls, where the per-call overhead the model leaves out is lowest.
-SAMPLE_COST_SECONDS = 4.3e-7
-SAMPLE_COST_PER_DIM_SECONDS = 1.29e-7
+SAMPLE_COST_SECONDS = 3.3e-7
+SAMPLE_COST_PER_DIM_SECONDS = 9.6e-8
 GRID_COST_PER_AXIS_POINT_SECONDS = 7.2e-8
 GRID_COST_PER_GRAM_ENTRY_SECONDS = 3.5e-8
 GRID_COST_PER_TERM_POINT_SECONDS = 9.4e-8
@@ -552,8 +555,8 @@ def run_henon_heiles(
     for d in sorted(d_list):
         spec = HenonHeilesSpec(d=d, alpha=alpha, h=h)
         state = spec.benchmark_state()
-        kinetic, potential = henon_heiles_energy(spec)
         total = henon_heiles_total(spec)
+        kinetic, potential = total.parts
         source = stream.point_source(2 * d + 2)
         generator = source.generator_id
         energies = (kinetic, potential, total)

@@ -196,6 +196,12 @@ class Observable:
         automatically.
     side : str, optional
         'q', 'p', 'both', or 'const'; derived from the polynomial if absent.
+    parts : tuple of Observable, optional
+        Summands of a sum observable; ``fn`` must be the left-to-right sum
+        of the parts' ``fn`` values.  ``estimate_expectation`` evaluates
+        each distinct part object once per row block and adds the parts'
+        values in that order, so a sum observable listed with its parts (the
+        same objects) costs no second evaluation and has the same doubles.
     """
 
     label: str
@@ -203,6 +209,7 @@ class Observable:
     polynomial: Optional[PolynomialSymbol] = None
     plane_terms_fn: Optional[Callable] = None
     side: Optional[str] = None
+    parts: tuple = ()
 
     def evaluate(self, Q, P) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -334,13 +341,19 @@ def henon_heiles_energy(spec: HenonHeilesSpec) -> tuple[Observable, Observable]:
 
 
 def henon_heiles_total(spec: HenonHeilesSpec) -> Observable:
-    """Total energy symbol of the Henon-Heiles system."""
+    """Total energy symbol of the Henon-Heiles system, the sum observable
+    with parts (kinetic, potential) of :func:`henon_heiles_energy`."""
     kinetic, potential = henon_heiles_energy(spec)
 
     def fn(Q, P):
         return kinetic.fn(Q, P) + potential.fn(Q, P)
 
-    return Observable("hh-total", fn, polynomial=kinetic.polynomial + potential.polynomial)
+    return Observable(
+        "hh-total",
+        fn,
+        polynomial=kinetic.polynomial + potential.polynomial,
+        parts=(kinetic, potential),
+    )
 
 
 def weyl_expectation_gaussian(A, state: GaussianState) -> float:
@@ -361,11 +374,15 @@ def weyl_expectation_gaussian(A, state: GaussianState) -> float:
     C, L, M = _pair_terms(state)
     var = state.h / 2.0
     total = np.zeros(C.size, dtype=complex)
+    # moments[(i, e)] = E[X_i^e]; terms share most of their factors
+    moments: dict[tuple[int, int], np.ndarray] = {}
     for coeff, exps in poly.terms:
         prod = coeff
-        for mean, e in zip(M.T, exps):
+        for i, e in enumerate(exps):
             if e:
-                prod = prod * _normal_moment(mean, var, e)
+                if (i, e) not in moments:
+                    moments[i, e] = _normal_moment(M[:, i], var, e)
+                prod = prod * moments[i, e]
         total += prod
     return float(((C * np.exp(L)) @ total).real / state_norm2(state))
 

@@ -158,6 +158,24 @@ def _reversed_numerators(idx: np.ndarray, blocks: list[tuple[int, np.ndarray | N
     return num * size + (rem if rev is None else rev[rem])
 
 
+def _outer_sum_tables(
+    base: int, ndigits: int, blocks: list[tuple[int, np.ndarray | None]], first_index: int, last_index: int
+):
+    """(B, low, high) with rev_K(a B + r) = high[a - first_index // B] + low[r].
+
+    B = b^k is the size of the lowest digit block of ``blocks``; the k low
+    digits of an index become the k high digits of its reversal, so
+    low[r] = rev_k(r) b^(K-k) for r < B, and high holds rev_(K-k)(a) for the
+    quotients a of first_index .. last_index.  Both are exact int64 parts
+    of the same numerator the digit blocks build.
+    """
+    size, rev = blocks[0]
+    low = (np.arange(size, dtype=np.int64) if rev is None else rev) * (base**ndigits // size)
+    quotients = np.arange(first_index // size, last_index // size + 1, dtype=np.int64)
+    high = _reversed_numerators(quotients, blocks[1:]) if len(blocks) > 1 else np.zeros_like(quotients)
+    return size, low, high
+
+
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """Radical inverse of integer indices in the given base.
 
@@ -189,6 +207,12 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     by base^K (correctly rounded while index * base < 2**53, within an ulp
     above).  Element index 0 is the degenerate all-zero point, so callers
     should use skip >= 1.
+
+    With leap 1 the indices are consecutive, so the numerators of a row
+    block come from one outer sum high[a, None] + low over the quotients a
+    and remainders r of index = a b^k + r (see ``_outer_sum_tables``): the
+    same exact integers as the digit blocks, hence the same doubles.  Other
+    leaps peel each index's digit blocks.
 
     Parameters
     ----------
@@ -228,9 +252,11 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
             f"{int(primes[-1])} must stay below 2**63"
         )
     plans = []
-    for b in primes:
-        ndigits = _digit_count(hi, int(b))
-        plans.append((_digit_blocks(int(b), ndigits), float(int(b) ** ndigits)))
+    for b in (int(p) for p in primes):
+        ndigits = _digit_count(hi, b)
+        blocks = _digit_blocks(b, ndigits)
+        tables = _outer_sum_tables(b, ndigits, blocks, skip, hi) if leap == 1 else None
+        plans.append((blocks, tables, float(b**ndigits)))
     indices = skip + leap * np.arange(n, dtype=np.int64)
     out = np.empty((n, dim))
     # Filling whole rows of a (dim, rows) buffer and copying its transpose
@@ -240,8 +266,16 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     for lo in range(0, n, _HALTON_ROWS):
         idx = indices[lo : lo + _HALTON_ROWS]
         block = buf[:, : idx.size]
-        for row, (blocks, scale) in zip(block, plans):
-            np.divide(_reversed_numerators(idx, blocks), scale, out=row)
+        for row, (blocks, tables, scale) in zip(block, plans):
+            if tables is None:
+                num = _reversed_numerators(idx, blocks)
+            else:
+                size, low, high = tables
+                a, r = divmod(skip + lo, size)
+                a -= skip // size
+                touched = (r + idx.size - 1) // size + 1
+                num = (high[a : a + touched, None] + low).ravel()[r : r + idx.size]
+            np.divide(num, scale, out=row)
         out[lo : lo + idx.size] = block.T
     return out
 
@@ -545,6 +579,30 @@ def _proposal_hermite(state: GaussianState, Q, P) -> np.ndarray:
     return dens @ probs
 
 
+def _observable_values(observables: Sequence[Observable], Q, P) -> list[np.ndarray]:
+    """The values of each observable on one block of samples.
+
+    Every distinct observable object is evaluated once, and a sum
+    observable is its parts' values added left to right as its ``fn`` adds
+    them, so it has the doubles of its own evaluation and no part is
+    evaluated twice.
+    """
+    values: dict[int, np.ndarray] = {}
+
+    def evaluated(obs: Observable) -> np.ndarray:
+        if id(obs) not in values:
+            values[id(obs)] = obs.evaluate(Q, P)
+        return values[id(obs)]
+
+    for obs in observables:
+        if obs.parts and id(obs) not in values:
+            total = evaluated(obs.parts[0])
+            for part in obs.parts[1:]:
+                total = total + evaluated(part)
+            values[id(obs)] = total
+    return [evaluated(obs) for obs in observables]
+
+
 def estimate_expectation(
     state: GaussianState,
     A: Observable | Sequence[Observable],
@@ -565,7 +623,9 @@ def estimate_expectation(
     sequence of observables, which returns a list of results in input
     order.  Every observable of a sequence is evaluated on the same points,
     so the stream (and, under the exact policy, the importance weights) is
-    built once per chunk, and each result equals that of a single call.
+    built once per chunk, and each result equals that of a single call.  A
+    sum observable is added up from the values of its ``parts``, each
+    evaluated once per block however many observables list it.
 
     Under the default neglect policy the estimate is normalized by the
     branch weight total, which equals the state norm up to the policy's
@@ -631,8 +691,7 @@ def estimate_expectation(
                     target = hermite_mixture_many(state, Q, P)
                     proposal = _proposal_hermite(state, Q, P)
                 denom = proposal * norm
-            for row, obs in zip(vals, observables):
-                v = obs.evaluate(Q, P)
+            for row, v in zip(vals, _observable_values(observables, Q, P)):
                 row[block] = v * target / denom if exact_mode else v
         return np.array([(e - s, np.sum(row), np.sum(row * row)) for row in vals])
 

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -22,7 +23,14 @@ from phasespec import (
     weyl_expectation_gaussian,
 )
 from phasespec.exceptions import NonNegligibleCrossTermsError
-from phasespec.observables import Observable, observable_from_polynomial_records, torsional_potential
+from phasespec.observables import (
+    HenonHeilesSpec,
+    Observable,
+    henon_heiles_energy,
+    henon_heiles_total,
+    observable_from_polynomial_records,
+    torsional_potential,
+)
 from phasespec.quadrature import tensor_grid_expectation
 from phasespec.sampling import CHUNK_SIZE, _first_primes, _radical_inverse
 
@@ -126,6 +134,22 @@ class TestHaltonDigitBlocks:
                 pts = halton_points(3, dim_i + 1, skip=base**k - 1, max_dim=70)
                 assert pts[:, dim_i].tolist() == exact
                 k += 1
+
+    @pytest.mark.parametrize("base", [2, 3, 67, 313])
+    def test_leap_one_outer_sums_at_digit_edges(self, base):
+        # leap 1 builds numerators as high[a] + low[r] for index a b^k + r;
+        # skips at b^k - 1 and b^k start on both sides of a digit-count
+        # edge, and two 4096-row blocks cross low-block edges (b^k <= 4096)
+        primes = [int(b) for b in _first_primes(70)]
+        dim = primes.index(base) + 1
+        n = 2 * 4096 + 5
+        k = 0
+        while (base**k + n) * base < 2**53:
+            for skip in (base**k - 1, base**k):
+                pts = halton_points(n, dim, skip=skip, leap=1, max_dim=dim)
+                want = halton_digit_loop(n, dim, skip)
+                assert np.array_equal(pts.view(np.int64), want.view(np.int64))
+            k += 1
 
     def test_negative_indices_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -666,6 +690,65 @@ class TestSharedStream:
             assert isinstance(shared, list)
             assert shared == singles
 
+    @pytest.mark.parametrize("kind", ["halton", "pseudo-random"])
+    @pytest.mark.parametrize("mode", ["neglect", "exact"])
+    @pytest.mark.parametrize("method", ["mu", "husimi"])
+    @pytest.mark.parametrize("shared_parts", [True, False])
+    def test_sum_observable_matches_single_calls(self, kind, mode, method, shared_parts):
+        # hh-total is summed from its parts' values; with separate part
+        # objects listed, each of them is evaluated as well
+        st = self.state()
+        spec = HenonHeilesSpec(d=2)
+        total = henon_heiles_total(spec)
+        observables = (*(total.parts if shared_parts else henon_heiles_energy(spec)), total)
+        source = PointSource(dimension=6, kind=kind, seed=7)
+        kwargs = dict(
+            method=method, n=2 * CHUNK_SIZE + 1000, source=source,
+            policy=CrossTermPolicy(mode=mode),
+        )
+        singles = [estimate_expectation(st, A, **kwargs) for A in observables]
+        for workers in (1, 2):
+            assert estimate_expectation(st, observables, workers=workers, **kwargs) == singles
+
+    def test_sum_observable_evaluates_each_object_once(self):
+        calls = []
+
+        def logged(label, fn):
+            def f(Q, P):
+                calls.append(label)
+                return fn(Q, P)
+
+            return f
+
+        q1 = lambda Q, P: Q[:, 0]
+        p2 = lambda Q, P: P[:, 1] ** 2
+        a, b = Observable("a", logged("a", q1)), Observable("b", logged("b", p2))
+        total = Observable("a+b", logged("a+b", lambda Q, P: q1(Q, P) + p2(Q, P)), parts=(a, b))
+        # 2500 rows per component: two blocks each
+        for observables, want in (
+            ((a, b, total), {"a": 4, "b": 4}),
+            ((total, a), {"a": 4, "b": 4}),
+            ((total, total), {"a": 4, "b": 4}),
+            ((total,), {"a": 4, "b": 4}),
+        ):
+            calls.clear()
+            estimate_expectation(self.state(), observables, n=5000)
+            assert {label: calls.count(label) for label in set(calls)} == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pass_leaves_no_reference_cycles(self, workers):
+        # a cycle through a block's values would keep every block's samples
+        # alive until the cyclic collector runs, raising the peak memory
+        total = henon_heiles_total(HenonHeilesSpec(d=2))
+        kwargs = dict(n=20000, source=PointSource(dimension=6, kind="halton"), workers=workers)
+        gc.collect()
+        gc.disable()
+        try:
+            estimate_expectation(self.state(), (*total.parts, total), **kwargs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_sequence_refused(self):
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
         with pytest.raises(ValueError, match="at least one observable"):
@@ -708,6 +791,12 @@ class TestBlockedPass:
             Observable("p-squared", lambda Q, P: np.sum(P * P, axis=1)),
         ]
 
+    @staticmethod
+    def bits(rows):
+        """(value, stderr, mean_husimi, mean_hermite) rows, or results, as int64 bits."""
+        rows = [r if isinstance(r, tuple) else (r.value, r.stderr, r.mean_husimi, r.mean_hermite) for r in rows]
+        return np.array([[np.nan if x is None else x for x in row] for row in rows]).view(np.int64)
+
     @pytest.mark.parametrize("kind,method,K,d,mode", list(_blocked_cases()))
     def test_equals_whole_chunk_pass(self, kind, method, K, d, mode):
         st = self.state(K, d)
@@ -720,9 +809,22 @@ class TestBlockedPass:
             st, observables, method=method, n=n, source=source, policy=CrossTermPolicy(mode=mode)
         )
         want = whole_chunk_estimate(st, observables, method, n, source, exact=mode == "exact")
+        assert np.array_equal(self.bits(got), self.bits(want))
 
-        def bits(rows):
-            return np.array([[np.nan if x is None else x for x in row] for row in rows]).view(np.int64)
-
-        got_rows = [(r.value, r.stderr, r.mean_husimi, r.mean_hermite) for r in got]
-        assert np.array_equal(bits(got_rows), bits(want))
+    @pytest.mark.parametrize("kind,method,K,d,mode", [c for c in _blocked_cases() if c[3] in (2, 33)])
+    @pytest.mark.parametrize("shared_parts", [True, False])
+    def test_sum_observable_equals_whole_chunk_pass(self, kind, method, K, d, mode, shared_parts):
+        # the oracle evaluates hh-total through its own fn on whole chunks
+        st = self.state(K, d)
+        spec = HenonHeilesSpec(d=d)
+        total = henon_heiles_total(spec)
+        observables = (*(total.parts if shared_parts else henon_heiles_energy(spec)), total)
+        source = PointSource(dimension=2 * d + 2, kind=kind, seed=3)
+        n = CHUNK_SIZE + 3001
+        policy = CrossTermPolicy(mode=mode)
+        want = self.bits(whole_chunk_estimate(st, observables, method, n, source, exact=mode == "exact"))
+        for workers in (1, 2):
+            got = estimate_expectation(
+                st, observables, method=method, n=n, source=source, policy=policy, workers=workers
+            )
+            assert np.array_equal(self.bits(got), want)
