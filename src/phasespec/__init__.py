@@ -13,23 +13,8 @@ Halton) sampling estimators, and a CLI for the benchmark experiments.
 
 __version__ = "0.1.0"
 
-from .core import (
-    GaussianState,
-    PhasePoint,
-    gaussian_overlap,
-    state_norm2,
-    symplectic_matrix,
-    symplectic_product,
-)
-from .densities import (
-    CrossTermPolicy,
-    hermite_mixture,
-    hermite_spectrogram,
-    husimi,
-    laplacian_husimi,
-    mu,
-    wigner,
-)
+from .core import GaussianState, PhasePoint, state_norm2
+from .densities import CrossTermPolicy
 from .exceptions import (
     NonFiniteResultError,
     NonNegligibleCrossTermsError,
@@ -48,32 +33,19 @@ from .observables import (
     weyl_expectation_gaussian,
 )
 from .sampling import (
-    ComponentSample,
     EstimatorResult,
     PointSource,
     estimate_expectation,
-    gamma2_cdf,
     gamma2_inverse_cdf,
     halton_points,
-    inverse_normal_cdf,
-    sample_component,
 )
 
 __all__ = [
     "__version__",
     "PhasePoint",
     "GaussianState",
-    "symplectic_product",
-    "symplectic_matrix",
-    "gaussian_overlap",
     "state_norm2",
     "CrossTermPolicy",
-    "wigner",
-    "husimi",
-    "hermite_spectrogram",
-    "hermite_mixture",
-    "mu",
-    "laplacian_husimi",
     "Observable",
     "PolynomialSymbol",
     "HenonHeilesSpec",
@@ -85,13 +57,9 @@ __all__ = [
     "reference_expectation_grid",
     "observable_from_label",
     "PointSource",
-    "ComponentSample",
     "EstimatorResult",
     "halton_points",
-    "inverse_normal_cdf",
-    "gamma2_cdf",
     "gamma2_inverse_cdf",
-    "sample_component",
     "estimate_expectation",
     "NonNegligibleCrossTermsError",
     "ResourceGuardError",

@@ -12,7 +12,7 @@ Every subcommand accepts the shared flags (--h, --d, --n, --sampler, --seed,
 values from a JSON --config file are used for any flag not given explicitly.
 
 Exit codes: 0 success, 2 usage error, 3 resource-guard refusal, 4 non-finite
-numerical result.
+or overflowing numerical result.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import __version__
-from .exceptions import NonFiniteResultError, ResourceGuardError
+from .exceptions import ResourceGuardError
 from .experiments import (
     DEFAULT_D_LIST,
     RunConfig,
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except NonFiniteResultError as exc:
+    except ArithmeticError as exc:  # NonFiniteResultError, overflow, division by zero
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:

@@ -16,9 +16,10 @@ inner product of two wavepackets has the closed form
     <g_z1, g_z2> = exp(-|z1 - z2|^2 / (4h)) exp(i sigma(z1, z2) / (2h)),
 
 where sigma(a, b) = a . Omega b = sum_j (a_qj b_pj - a_pj b_qj) is the
-standard symplectic product.  The phase factor is validated against direct
-position-space quadrature in the test suite; all cross-term formulas in
-:mod:`phasespec.densities` depend on it.
+standard symplectic product.  :func:`_overlap_factors` evaluates this closed
+form; its phase factor is validated against direct position-space quadrature
+in the test suite, and all cross-term formulas in :mod:`phasespec.densities`
+depend on it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ import numpy as np
 __all__ = [
     "PhasePoint",
     "GaussianState",
-    "symplectic_product",
-    "symplectic_matrix",
-    "gaussian_overlap",
     "state_norm2",
 ]
 
@@ -82,44 +80,6 @@ class PhasePoint:
     @property
     def dim(self) -> int:
         return self.q.size
-
-    def plane(self, j: int) -> tuple[float, float]:
-        """Return the plane component z_j = (q_j, p_j) for 1 <= j <= d."""
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"plane index {j} out of range 1..{self.dim}")
-        return float(self.q[j - 1]), float(self.p[j - 1])
-
-    def norm2(self) -> float:
-        """|z|^2 = sum_j (q_j^2 + p_j^2)."""
-        return float(np.dot(self.q, self.q) + np.dot(self.p, self.p))
-
-    def __sub__(self, other: "PhasePoint") -> "PhasePoint":
-        _check_same_dim(self, other)
-        return PhasePoint(self.q - other.q, self.p - other.p)
-
-
-def _check_same_dim(a: PhasePoint, b: PhasePoint) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
-def symplectic_product(a: PhasePoint, b: PhasePoint) -> float:
-    """The bilinear form a . Omega b = sum_j (a_qj b_pj - a_pj b_qj).
-
-    Antisymmetric: symplectic_product(a, b) == -symplectic_product(b, a).
-    """
-    _check_same_dim(a, b)
-    return float(np.dot(a.q, b.p) - np.dot(a.p, b.q))
-
-
-def symplectic_matrix(d: int) -> np.ndarray:
-    """The 2d x 2d block matrix Omega = [[0, Id], [-Id, 0]] acting on (q, p)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    omega = np.zeros((2 * d, 2 * d))
-    omega[:d, d:] = np.eye(d)
-    omega[d:, :d] = -np.eye(d)
-    return omega
 
 
 @dataclass(frozen=True)
@@ -191,19 +151,6 @@ class GaussianState:
     @property
     def n_branches(self) -> int:
         return self.coefficients.size
-
-
-def gaussian_overlap(z1: PhasePoint, z2: PhasePoint, h: float) -> complex:
-    """Inner product <g_z1, g_z2> of two unit wavepackets with parameter h.
-
-    Equals exp(-|z1 - z2|^2 / (4h) + i sigma(z1, z2) / (2h)); in particular
-    the modulus is exp(-|z1 - z2|^2 / (4h)) and the value is 1 for z1 == z2.
-    """
-    _check_same_dim(z1, z2)
-    h = validate_h(h)
-    d2 = (z1 - z2).norm2()
-    phase = symplectic_product(z1, z2) / (2.0 * h)
-    return complex(np.exp(-d2 / (4.0 * h)) * (np.cos(phase) + 1j * np.sin(phase)))
 
 
 def _overlap_exponents(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -48,9 +48,8 @@ than multiplied in, so a far-apart pair whose overlap underflows cannot meet
 an overflowing e^{-s2/h}.  H and the S_j keep the O(mK) amplitude form below,
 which the sampler calls.
 
-Batched evaluation: every density has a ``*_many`` variant taking point
-coordinates Q, P of shape (m, d) and returning shape (m,).  The scalar
-functions wrap these for a single :class:`~phasespec.core.PhasePoint`.
+Every evaluator is batched: the ``*_many`` functions take point coordinates
+Q, P of shape (m, d) and return shape (m,); a single point is a (1, d) pair.
 """
 
 from __future__ import annotations
@@ -59,16 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, PhasePoint, _overlap_factors, _pair_terms
+from .core import GaussianState, _overlap_factors, _pair_terms
 
 __all__ = [
     "CrossTermPolicy",
-    "wigner",
-    "husimi",
-    "hermite_spectrogram",
-    "hermite_mixture",
-    "mu",
-    "laplacian_husimi",
     "wigner_many",
     "husimi_many",
     "hermite_spectrogram_many",
@@ -81,12 +74,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrossTermPolicy:
-    """How branch-pair interference terms are treated.
+    """How the sampler treats branch-pair interference terms.
 
-    In ``neglect`` mode a pair (k, l) is dropped whenever its damping factor
-    exp(-|z_k - z_l|^2 / (8h)) falls below ``threshold``; pairs above the
-    threshold are kept by pointwise evaluators but cause the branch-mixture
-    sampler to refuse.  ``exact`` mode keeps every pair.
+    ``neglect`` mode samples the branch mixture sum_k |c_k|^2 rho_{g_{z_k}},
+    which leaves out every interference pair (k, l), k != l.  ``threshold``
+    only sets when the sampler refuses instead: at a pair damping factor
+    exp(-|z_k - z_l|^2 / (8h)) at or above it.  ``exact`` mode keeps every
+    pair by importance weighting against the exact densities.  The
+    pointwise evaluators always keep every pair.
     """
 
     mode: str = "exact"
@@ -201,22 +196,16 @@ def _pair_squares(state: GaussianState, Q: np.ndarray, P: np.ndarray):
     return C, L, s2
 
 
-def mu_many(state: GaussianState, Q, P, policy: CrossTermPolicy | None = None) -> np.ndarray:
+def mu_many(state: GaussianState, Q, P) -> np.ndarray:
     """Corrected density mu(w), as the single-branch closed form
     (2 pi h)^-d (1 + d/2 - s2/(4h)) e^{-s2/(2h)} summed over branch pairs.
 
     Off-diagonal pairs carry the interference term damped by
-    exp(-|z_k - z_l|^2 / (8h)) and are dropped under a ``neglect`` policy
-    when below its threshold.
+    exp(-|z_k - z_l|^2 / (8h)).
     """
-    if policy is None:
-        policy = CrossTermPolicy()
     Q, P = _points(Q, P, state.dim)
     h, d = state.h, state.dim
     C, L, s2 = _pair_squares(state, Q, P)
-    if policy.mode == "neglect":
-        k, l = np.triu_indices(state.n_branches)
-        C = np.where((k == l) | (policy.pair_damping(state)[k, l] >= policy.threshold), C, 0.0)
     s2 /= -2.0 * h
     envelope = s2 + L
     np.exp(envelope, out=envelope)
@@ -252,39 +241,3 @@ def laplacian_husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     s_sum = _plane_power_sum(state, Q, P, O)
     h_sq = np.abs(O @ state.coefficients) ** 2
     return (2.0 * np.pi * h) ** (-d) * ((2.0 / h) * s_sum - (2.0 * d / h) * h_sq)
-
-
-def _scalar(fn, state: GaussianState, w: PhasePoint, *args, **kwargs) -> float:
-    if w.dim != state.dim:
-        raise ValueError(f"dimension mismatch: point has d={w.dim}, state d={state.dim}")
-    return float(fn(state, *args, w.q[None, :], w.p[None, :], **kwargs)[0])
-
-
-def wigner(state: GaussianState, w: PhasePoint) -> float:
-    """Wigner function at a single phase-space point."""
-    return _scalar(wigner_many, state, w)
-
-
-def husimi(state: GaussianState, w: PhasePoint) -> float:
-    """Husimi function at a single phase-space point; always >= 0."""
-    return _scalar(husimi_many, state, w)
-
-
-def hermite_spectrogram(state: GaussianState, j: int, w: PhasePoint) -> float:
-    """Hermite spectrogram S_j at a single point; always >= 0."""
-    return _scalar(lambda s, Q, P: hermite_spectrogram_many(s, j, Q, P), state, w)
-
-
-def hermite_mixture(state: GaussianState, w: PhasePoint) -> float:
-    """(1/d) sum_j S_j at a single point."""
-    return _scalar(hermite_mixture_many, state, w)
-
-
-def mu(state: GaussianState, w: PhasePoint, policy: CrossTermPolicy | None = None) -> float:
-    """Corrected density mu at a single point."""
-    return _scalar(lambda s, Q, P: mu_many(s, Q, P, policy), state, w)
-
-
-def laplacian_husimi(state: GaussianState, w: PhasePoint) -> float:
-    """Laplacian of the Husimi function at a single point."""
-    return _scalar(laplacian_husimi_many, state, w)

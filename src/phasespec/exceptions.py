@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: usage errors (``ValueError``,
 including :class:`NonNegligibleCrossTermsError`) exit with 2, resource-guard
-refusals with 3, and non-finite numerical results with 4.
+refusals with 3, and numerical failures (any ``ArithmeticError``: a
+non-finite result, an overflow or a division by zero) with 4.
 """
 
 

@@ -277,8 +277,7 @@ def check_resource_budget(n: int, d_values, force: bool) -> float:
 
 
 def _require_grid(name: str, size: int) -> None:
-    """Refuse a quadrature grid with fewer than 2 points per axis before any
-    work starts."""
+    """Refuse a grid with fewer than 2 points per axis before any work starts."""
     if size < 2:
         raise ValueError(f"{name} must be at least 2 grid points per axis, got {size}")
 
@@ -370,10 +369,15 @@ def run_density_section(
     d = 1 wavepacket, tabulated against |w - z|.
 
     The mu column changes sign exactly once, at |w - z| = 2 sqrt(h (1 + d/2)).
+    A max_radius that is not positive and finite, or fewer than 2 points, is
+    refused.
     """
+    state = GaussianState.wavepacket(h, [0.0], [0.0])
     if max_radius is None:
         max_radius = 6.0 * np.sqrt(h)
-    state = GaussianState.wavepacket(h, [0.0], [0.0])
+    if not (np.isfinite(max_radius) and max_radius > 0.0):
+        raise ValueError(f"max_radius must be positive and finite, got {max_radius}")
+    _require_grid("n_points", n_points)
     radii = np.linspace(0.0, max_radius, n_points)
     Q = radii[:, None]
     P = np.zeros_like(Q)

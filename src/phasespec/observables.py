@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GaussianState, PhasePoint, _pair_terms, state_norm2, validate_h
+from .core import GaussianState, _pair_terms, state_norm2, validate_h
 from .exceptions import ResourceGuardError
 from .quadrature import _trapezoid_weights
 
@@ -40,7 +40,6 @@ __all__ = [
     "henon_heiles_total",
     "weyl_expectation_gaussian",
     "reference_expectation_grid",
-    "position_wavefunction",
     "momentum_space_state",
     "observable_from_label",
     "observable_from_polynomial_records",
@@ -215,9 +214,6 @@ class Observable:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         P = np.atleast_2d(np.asarray(P, dtype=float))
         return np.asarray(self.fn(Q, P), dtype=float)
-
-    def __call__(self, w: PhasePoint) -> float:
-        return float(self.evaluate(w.q[None, :], w.p[None, :])[0])
 
     def depends_on(self) -> str:
         if self.side is not None:
@@ -395,15 +391,6 @@ def _wavepacket_columns(state: GaussianState, X: np.ndarray) -> np.ndarray:
     dq = X[:, None, :] - q
     phase = np.sum((X[:, None, :] - 0.5 * q) * p, axis=-1)
     return (np.pi * h) ** (-d / 4.0) * np.exp(-np.sum(dq * dq, axis=-1) / (2.0 * h) + 1j * phase / h)
-
-
-def position_wavefunction(state: GaussianState, X) -> np.ndarray:
-    """psi(x) = sum_k c_k (pi h)^(-d/4) e^{i p_k.(x - q_k/2)/h} e^{-|x - q_k|^2/(2h)}
-    at points X of shape (m, d)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != state.dim:
-        raise ValueError(f"points must be (m, {state.dim})")
-    return _wavepacket_columns(state, X) @ state.coefficients
 
 
 def momentum_space_state(state: GaussianState) -> GaussianState:

@@ -22,8 +22,8 @@ When the observable is itself a sum of per-plane factors (every polynomial
 is, and so are the named trigonometric observables), the full tensor-grid
 sum collapses exactly into products of 2-dimensional plane integrals: the
 result equals the direct sum over the (points_per_axis)^(2d) grid, evaluated
-without materializing it.  ``direct_grid_integrals`` keeps the literal
-pointwise summation (d <= 2) for cross-validation.
+without materializing it; the test suite checks it against that literal
+pointwise sum for d <= 2.
 
 The Gram stacks do not depend on the density; only the final combination
 does.  ``tensor_grid_integrals`` therefore walks each plane once, in blocks
@@ -49,7 +49,6 @@ __all__ = [
     "plane_axes",
     "tensor_grid_integrals",
     "tensor_grid_expectation",
-    "direct_grid_integrals",
 ]
 
 # Grid points per block of q-lines in tensor_grid_integrals.  Whole-plane
@@ -57,11 +56,7 @@ __all__ = [
 # evaluations that ran after the quadrature in the same process.
 _BLOCK_POINTS = 4096
 
-_DENSITY_MANY = {
-    "mu": densities.mu_many,
-    "husimi": densities.husimi_many,
-    "hermite-mixture": densities.hermite_mixture_many,
-}
+_METHODS = ("mu", "husimi", "hermite-mixture")
 
 
 def plane_axes(state: GaussianState, points_per_axis: int = 160) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -87,33 +82,6 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     w = np.full(axis.size, step)
     w[0] = w[-1] = step / 2.0
     return w
-
-
-def _grid_sums(axes, slab_fn) -> tuple[float, float]:
-    """(sum w f rho, sum w rho) over the tensor grid of ``axes`` with
-    trapezoid weights w.
-
-    The grid is walked in slabs of fixed first coordinate, so the full mesh
-    is never materialized.  ``slab_fn`` maps the (m, len(axes)) coordinates
-    of one slab to (f, rho).
-    """
-    weights = [_trapezoid_weights(ax) for ax in axes]
-    w_rest = np.ones(())
-    for wv in weights[1:]:
-        w_rest = np.multiply.outer(w_rest, wv)
-    w_rest = w_rest.ravel()
-    slab = np.empty((w_rest.size, len(axes)))
-    for a, mesh in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
-        slab[:, a] = mesh.ravel()
-    num = 0.0
-    den = 0.0
-    for x0, w0 in zip(axes[0], weights[0]):
-        slab[:, 0] = x0
-        f, rho = slab_fn(slab)
-        wcol = w0 * w_rest
-        num += float(np.dot(wcol, f * rho))
-        den += float(np.dot(wcol, rho))
-    return num, den
 
 
 def _observable_terms(observable, d: int):
@@ -152,7 +120,7 @@ def tensor_grid_integrals(
     if not methods or not observables:
         raise ValueError("need at least one method and one observable")
     for m in methods:
-        if m not in _DENSITY_MANY:
+        if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}")
     d, h, K = state.dim, state.h, state.n_branches
     # Only the S_j kernels (mu, hermite-mixture) read the plane offsets Z.
@@ -238,30 +206,3 @@ def tensor_grid_expectation(
     if isinstance(result, tuple):
         return result[0] / result[1]
     return {m: [num / den for num, den in pairs] for m, pairs in result.items()}
-
-
-def direct_grid_integrals(
-    state: GaussianState,
-    observable,
-    method: str = "mu",
-    points_per_axis: int = 60,
-) -> tuple[float, float]:
-    """Literal pointwise summation over the same tensor grid (d <= 2 only).
-
-    Slow validation path for :func:`tensor_grid_integrals`; evaluates the
-    density with the generic batched evaluators, chunking over the leading
-    axis for d = 2.
-    """
-    if state.dim > 2:
-        raise ValueError("direct grid evaluation is limited to d <= 2")
-    if method not in _DENSITY_MANY:
-        raise ValueError(f"unknown method {method!r}")
-
-    def slab_fn(coords):
-        # coordinate order (q1, p1[, q2, p2])
-        Q, P = coords[:, 0::2], coords[:, 1::2]
-        rho = _DENSITY_MANY[method](state, Q, P)
-        return (np.ones_like(rho) if observable is None else observable.evaluate(Q, P)), rho
-
-    flat_axes = [ax for pair in plane_axes(state, points_per_axis) for ax in pair]
-    return _grid_sums(flat_axes, slab_fn)

@@ -53,29 +53,23 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc, ndtri
+from scipy.special import ndtri
 
-from .core import GaussianState, PhasePoint, state_norm2
+from .core import GaussianState, state_norm2
 from .densities import CrossTermPolicy, hermite_mixture_many, husimi_many
 from .exceptions import NonFiniteResultError, NonNegligibleCrossTermsError
 from .observables import Observable
 
 __all__ = [
     "CHUNK_SIZE",
-    "DEFAULT_MAX_HALTON_DIM",
     "halton_points",
-    "inverse_normal_cdf",
-    "gamma2_cdf",
     "gamma2_inverse_cdf",
     "PointSource",
-    "ComponentSample",
     "EstimatorResult",
-    "sample_component",
     "estimate_expectation",
 ]
 
 CHUNK_SIZE = 32768
-DEFAULT_MAX_HALTON_DIM = 64
 _TINY_UNIFORM = 2.0**-54
 # Rows per cache block of the estimator's pass over a chunk (divides
 # CHUNK_SIZE); chosen by timing hh-halton at 1024, 2048 and 4096.
@@ -176,37 +170,22 @@ def _outer_sum_tables(
     return size, low, high
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Radical inverse of integer indices in the given base.
-
-    The K digits of the largest index are reversed a block of up to k digits
-    at a time (b^k <= _DIGIT_TABLE_SIZE) through a digit-reversal table,
-    lowest block first: num <- num * b^k + rev_k(rem mod b^k).  This builds the same
-    exact integer numerator rev_K(index) as a digit-by-digit loop, so the
-    single final division by base^K gives the same double.  While
-    index * base < 2**53 both the numerator and base^K <= index * base are
-    exact doubles, so every value is the correctly rounded double of the
-    exact rational.  Beyond that range (up to the int64 bound that
-    ``halton_points`` enforces) base^K is rounded and a value may be off by
-    an ulp.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if np.any(idx < 0):
-        raise ValueError("indices must be non-negative")
-    ndigits = _digit_count(int(idx.max(initial=0)), base)
-    return _reversed_numerators(idx, _digit_blocks(base, ndigits)) / float(base**ndigits)
-
-
-def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | None = None) -> np.ndarray:
+def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
     """Elements skip, skip+leap, ..., of the Halton sequence in (0, 1)^dim.
 
     Coordinate i uses the van der Corput radical inverse in the i-th prime
-    base, computed as in ``_radical_inverse``: the digit-reversal tables are
-    built once per call, every base uses the digit count K of the last
-    index, and each value is the exact numerator rev_K(index) divided once
-    by base^K (correctly rounded while index * base < 2**53, within an ulp
-    above).  Element index 0 is the degenerate all-zero point, so callers
-    should use skip >= 1.
+    base.  Every base uses the digit count K of the last index, and each
+    value is the exact integer numerator rev_K(index), the index's K base-b
+    digits reversed, divided once by base^K.  The digits are reversed a
+    block of up to k digits at a time (b^k <= _DIGIT_TABLE_SIZE) through
+    digit-reversal tables built once per call, lowest block first:
+    num <- num * b^k + rev_k(rem mod b^k).  This builds the same exact
+    integer as a digit-by-digit loop, so the values do not depend on the
+    table size.  While index * base < 2**53 both the numerator and base^K
+    are exact doubles, so every value is the correctly rounded double of
+    the exact rational; beyond that (up to the int64 bound checked below)
+    base^K is rounded and a value may be off by an ulp.  Element index 0 is
+    the degenerate all-zero point, so callers should use skip >= 1.
 
     With leap 1 the indices are consecutive, so the numerators of a row
     block come from one outer sum high[a, None] + low over the quotients a
@@ -219,9 +198,7 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     n : int
         Number of points.
     dim : int
-        Number of coordinates; bounded by ``max_dim`` (default 64) to guard
-        against accidentally huge prime bases.  Pass a larger ``max_dim``
-        explicitly for high-dimensional runs.
+        Number of coordinates.
     skip : int
         Index of the first element (>= 1 recommended).
     leap : int
@@ -234,12 +211,6 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    limit = DEFAULT_MAX_HALTON_DIM if max_dim is None else int(max_dim)
-    if dim > limit:
-        raise ValueError(
-            f"Halton dimension {dim} exceeds the prime-table bound {limit}; "
-            "pass max_dim explicitly to allow it"
-        )
     if n < 0 or skip < 0 or leap < 1:
         raise ValueError("need n >= 0, skip >= 0, leap >= 1")
     primes = _first_primes(dim)
@@ -280,28 +251,9 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1, max_dim: int | Non
     return out
 
 
-def inverse_normal_cdf(u):
-    """Standard normal quantile Phi^-1(u) for u in the open interval (0, 1).
-
-    Backed by scipy's ndtri, which is accurate to machine precision over
-    [1e-15, 1 - 1e-15]; validated against an error-function bisection oracle
-    in the tests.
-    """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("inverse_normal_cdf requires 0 < u < 1")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-
-def gamma2_cdf(x):
-    """CDF F(x) = 1 - (1 + x) e^{-x} of the unit-scale Gamma(2) distribution;
-    0 for x <= 0.  Backed by scipy's regularized incomplete gamma function."""
-    return gammainc(2.0, np.maximum(x, 0.0))
-
-
 def gamma2_inverse_cdf(u):
-    """Inverse of ``gamma2_cdf`` for u in the open interval (0, 1).
+    """Quantile of the unit-scale Gamma(2) distribution, the inverse of its
+    CDF F(x) = 1 - (1 + x) e^{-x}, for u in the open interval (0, 1).
 
     A vectorised Newton solve of F(x) = u.  It starts from
     x0 = s + s^2/3 + s^3/36 with s = sqrt(2t), the leading terms of the
@@ -385,7 +337,6 @@ class PointSource:
                 self.dimension,
                 skip=self.skip + self.leap * c * CHUNK_SIZE,
                 leap=self.leap,
-                max_dim=self.dimension,
             )
         key = np.array([self.seed, c], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
@@ -407,16 +358,6 @@ class PointSource:
         if not parts:
             return np.empty((0, self.dimension))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-
-@dataclass(frozen=True)
-class ComponentSample:
-    """A phase-space draw from one component density."""
-
-    point: PhasePoint
-    component: str
-    branch: int
-    plane: Optional[int] = None   # 1-based, Hermite component only
 
 
 def _branch_probabilities(state: GaussianState) -> np.ndarray:
@@ -477,36 +418,6 @@ def _component_arrays(state: GaussianState, component: str, u: np.ndarray):
     qoff[rows, plane] = radius * np.cos(theta)
     poff[rows, plane] = radius * np.sin(theta)
     return Qc + qoff, Pc + poff, branch, plane
-
-
-def sample_component(
-    state: GaussianState,
-    component: str,
-    n: int,
-    source: PointSource | None = None,
-) -> list[ComponentSample]:
-    """Draw n samples from the Husimi or Hermite-mixture component density.
-
-    ``component`` is 'husimi' or 'hermite-mixture'.  The branch is picked
-    with probability |c_k|^2 / sum |c_l|^2, which is exact only when the
-    cross terms are negligible, so the call refuses states with a branch
-    pair above the default neglect threshold.
-    """
-    if source is None:
-        source = PointSource(dimension=2 * state.dim + 2)
-    _require_negligible(state, CrossTermPolicy(mode="neglect"))
-    Q, P, branch, plane = _component_arrays(state, component, source.uniform_block(0, n))
-    out = []
-    for i in range(n):
-        out.append(
-            ComponentSample(
-                point=PhasePoint(Q[i], P[i]),
-                component=component,
-                branch=int(branch[i]),
-                plane=None if plane[i] < 0 else int(plane[i]) + 1,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

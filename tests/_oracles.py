@@ -343,6 +343,16 @@ def mu_single_branch_many(center_q, center_p, h: float, Q, P) -> np.ndarray:
     return pref * (1.0 + d / 2.0 - r2 / (4.0 * h)) * np.exp(-r2 / (2.0 * h))
 
 
+def branch_mixture_mu(state, Q, P) -> np.ndarray:
+    """sum_k |c_k|^2 mu_{g_{z_k}}(w), mu with every interference pair
+    (k, l), k != l, left out: the density the neglect policy's sampler draws
+    from."""
+    return sum(
+        abs(c) ** 2 * mu_single_branch_many(q, p, state.h, Q, P)
+        for c, q, p in zip(state.coefficients, state.centers_q, state.centers_p)
+    )
+
+
 def _pair_geometry(state, k, l, Q, P):
     """Shared factors of the (k, l) sesquilinear pair term.
 
@@ -363,3 +373,61 @@ def _pair_geometry(state, k, l, Q, P):
     sig_pair = np.sum(ak * bl - bk * al, axis=-1)
     B = (1.0 + state.dim / 2.0) - (dot - 1j * sig_pair) / (4.0 * h)
     return OkOl, B
+
+
+def _grid_sums(axes, slab_fn):
+    """(sum w f rho, sum w rho) over the tensor grid of ``axes`` with
+    trapezoid weights w.
+
+    The grid is walked in slabs of fixed first coordinate, so the full mesh
+    is never materialized.  ``slab_fn`` maps the (m, len(axes)) coordinates
+    of one slab to (f, rho).
+    """
+    from phasespec.quadrature import _trapezoid_weights
+
+    weights = [_trapezoid_weights(ax) for ax in axes]
+    w_rest = np.ones(())
+    for wv in weights[1:]:
+        w_rest = np.multiply.outer(w_rest, wv)
+    w_rest = w_rest.ravel()
+    slab = np.empty((w_rest.size, len(axes)))
+    for a, mesh in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
+        slab[:, a] = mesh.ravel()
+    num = 0.0
+    den = 0.0
+    for x0, w0 in zip(axes[0], weights[0]):
+        slab[:, 0] = x0
+        f, rho = slab_fn(slab)
+        wcol = w0 * w_rest
+        num += float(np.dot(wcol, f * rho))
+        den += float(np.dot(wcol, rho))
+    return num, den
+
+
+def direct_grid_integrals(state, observable, method="mu", points_per_axis=60):
+    """(integral of A * density, integral of density) as the literal
+    pointwise sum over the tensor grid of ``tensor_grid_integrals`` (d <= 2).
+
+    Evaluates the density with the batched pointwise evaluators on every
+    grid point, chunking over the leading axis for d = 2.  ``observable``
+    may be None for A = 1.
+    """
+    from phasespec import densities
+    from phasespec.quadrature import plane_axes
+
+    if state.dim > 2:
+        raise ValueError("direct grid evaluation is limited to d <= 2")
+    density = {
+        "mu": densities.mu_many,
+        "husimi": densities.husimi_many,
+        "hermite-mixture": densities.hermite_mixture_many,
+    }[method]
+
+    def slab_fn(coords):
+        # coordinate order (q1, p1[, q2, p2])
+        Q, P = coords[:, 0::2], coords[:, 1::2]
+        rho = density(state, Q, P)
+        return (np.ones_like(rho) if observable is None else observable.evaluate(Q, P)), rho
+
+    flat_axes = [ax for pair in plane_axes(state, points_per_axis) for ax in pair]
+    return _grid_sums(flat_axes, slab_fn)

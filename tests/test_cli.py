@@ -40,6 +40,24 @@ class TestDensitySectionCommand:
         out = capsys.readouterr().out
         assert "radius,wigner,husimi,mu" in out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--max-radius", "-1"], "max_radius"),
+            (["--max-radius", "0"], "max_radius"),
+            (["--max-radius", "inf"], "max_radius"),
+            (["--max-radius", "nan"], "max_radius"),
+            (["--n-points", "0"], "n_points"),
+            (["--n-points", "1"], "n_points"),
+            (["--n-points", "-3"], "n_points"),
+        ],
+    )
+    def test_nonsense_section_exits_2(self, flags, message, capsys):
+        assert main(["density-section", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestExpectationCommand:
     def test_expectation_run(self, tmp_path, capsys):
@@ -128,6 +146,32 @@ class TestExpectationCommand:
         with np.errstate(all="ignore"):
             code = main(["expectation", "--config", str(path)])
         assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the exact moment reference of x^400 overflows a float
+            {"observable_polynomial": [[1.0, [400, 0]]], "d": 1, "n": 1000},
+            # the marginal grid's margin is below an ulp of 1e300: the grid
+            # collapses to one point and its normalization is 0
+            {"observable": "torsional", "d": 2, "n": 1000, "branches": [{"q": [1e300, 0], "p": [0, 0]}]},
+        ],
+    )
+    def test_arithmetic_failure_exits_4(self, config, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        with np.errstate(all="ignore"):
+            assert main(["expectation", "--config", str(path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_collapsed_sweep_grid_exits_4(self, capsys):
+        # at h = 1e-300 the marginal grid's margin is below an ulp of the
+        # centres, so a collapsed axis gives a zero normalization
+        argv = ["accuracy-sweep", "--h-list", "1e-300,1e-301", "--points-per-axis", "4",
+                "--reference-resolution", "4"]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 4
         assert "numerical failure" in capsys.readouterr().err
 
 

@@ -1,80 +1,20 @@
 import numpy as np
 import pytest
 
-from phasespec import (
-    GaussianState,
-    PhasePoint,
-    gaussian_overlap,
-    state_norm2,
-    symplectic_matrix,
-    symplectic_product,
-)
+from phasespec import GaussianState, PhasePoint, state_norm2
+from phasespec.core import _overlap_factors
 
 from _oracles import overlap_quad
 
 
-class TestSymplecticProduct:
-    def test_self_product_vanishes(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            d = rng.integers(1, 5)
-            a = PhasePoint(rng.normal(size=d), rng.normal(size=d))
-            assert symplectic_product(a, a) == 0.0
-
-    def test_basis_pair(self):
-        a = PhasePoint([1.0], [0.0])
-        b = PhasePoint([0.0], [1.0])
-        assert symplectic_product(a, b) == 1.0
-
-    def test_d2_hand_value_and_matrix_oracle(self):
-        a = PhasePoint([1.0, 2.0], [3.0, 4.0])
-        b = PhasePoint([5.0, 6.0], [7.0, 8.0])
-        val = symplectic_product(a, b)
-        assert val == pytest.approx(-16.0, abs=0)
-        # oracle: the explicit 4x4 matrix product with Omega
-        omega = symplectic_matrix(2)
-        av = np.concatenate([a.q, a.p])
-        bv = np.concatenate([b.q, b.p])
-        assert val == pytest.approx(av @ omega @ bv, abs=1e-14)
-
-    def test_bilinear_antisymmetric(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            d = int(rng.integers(1, 6))
-            a = PhasePoint(rng.normal(size=d), rng.normal(size=d))
-            b = PhasePoint(rng.normal(size=d), rng.normal(size=d))
-            c = PhasePoint(rng.normal(size=d), rng.normal(size=d))
-            s = float(rng.normal())
-            sa_plus_b = PhasePoint(s * a.q + b.q, s * a.p + b.p)
-            lhs = symplectic_product(sa_plus_b, c)
-            rhs = s * symplectic_product(a, c) + symplectic_product(b, c)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert symplectic_product(a, b) == pytest.approx(
-                -symplectic_product(b, a), rel=1e-12, abs=1e-15
-            )
-
-    def test_matrix_properties(self):
-        for d in (1, 3):
-            omega = symplectic_matrix(d)
-            assert np.array_equal(omega, -omega.T)
-            assert np.array_equal(omega @ omega, -np.eye(2 * d))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            symplectic_product(PhasePoint([1.0], [0.0]), PhasePoint([1.0, 2.0], [0.0, 0.0]))
+def overlap(z1, z2, h):
+    """<g_z1, g_z2> from the closed form every density evaluates,
+    ``core._overlap_factors`` (O[i, k] = <g_{w_i}, g_{z_k}>)."""
+    state = GaussianState.wavepacket(h, z2.q, z2.p)
+    return complex(_overlap_factors(state, z1.q[None, :], z1.p[None, :])[0, 0])
 
 
 class TestPhasePoint:
-    def test_plane_accessor_and_norm(self):
-        z = PhasePoint([1.0, 2.0], [3.0, 4.0])
-        assert z.plane(1) == (1.0, 3.0)
-        assert z.plane(2) == (2.0, 4.0)
-        assert z.norm2() == pytest.approx(1 + 4 + 9 + 16)
-        with pytest.raises(ValueError):
-            z.plane(0)
-        with pytest.raises(ValueError):
-            z.plane(3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PhasePoint([1.0, 2.0], [1.0])
@@ -85,10 +25,10 @@ class TestPhasePoint:
 class TestGaussianOverlap:
     def test_self_overlap_is_one(self):
         z = PhasePoint([0.4, -1.0], [0.2, 0.9])
-        assert gaussian_overlap(z, z, 0.05) == pytest.approx(1.0 + 0.0j, abs=0)
+        assert overlap(z, z, 0.05) == pytest.approx(1.0 + 0.0j, abs=0)
 
     def test_modulus_formula(self):
-        val = gaussian_overlap(PhasePoint([0.0], [0.0]), PhasePoint([1.0], [0.0]), 0.1)
+        val = overlap(PhasePoint([0.0], [0.0]), PhasePoint([1.0], [0.0]), 0.1)
         assert abs(val) == pytest.approx(np.exp(-2.5), rel=1e-14)
 
     def test_full_complex_value_vs_quadrature(self):
@@ -101,11 +41,21 @@ class TestGaussianOverlap:
                 (tuple(rng.normal(size=2)), tuple(rng.normal(size=2)), float(rng.uniform(0.03, 0.2)))
             )
         for z1, z2, h in cases:
-            closed = gaussian_overlap(
-                PhasePoint([z1[0]], [z1[1]]), PhasePoint([z2[0]], [z2[1]]), h
-            )
+            closed = overlap(PhasePoint([z1[0]], [z1[1]]), PhasePoint([z2[0]], [z2[1]]), h)
             oracle = overlap_quad(z1, z2, h)
             assert closed == pytest.approx(oracle, abs=1e-10)
+
+    def test_d3_overlap_is_product_of_plane_quadratures(self):
+        # the symplectic phase sums over the planes: in d = 3 the overlap is
+        # the product of three one-plane position-space integrals
+        rng = np.random.default_rng(29)
+        h = 0.12
+        z1 = PhasePoint(rng.normal(size=3) * 0.5, rng.normal(size=3) * 0.5)
+        z2 = PhasePoint(rng.normal(size=3) * 0.5, rng.normal(size=3) * 0.5)
+        oracle = np.prod(
+            [overlap_quad((z1.q[j], z1.p[j]), (z2.q[j], z2.p[j]), h) for j in range(3)]
+        )
+        assert overlap(z1, z2, h) == pytest.approx(oracle, abs=1e-10)
 
     def test_conjugate_symmetry_and_modulus_property(self):
         rng = np.random.default_rng(19)
@@ -114,16 +64,11 @@ class TestGaussianOverlap:
             z1 = PhasePoint(rng.normal(size=d), rng.normal(size=d))
             z2 = PhasePoint(rng.normal(size=d), rng.normal(size=d))
             h = float(rng.uniform(0.01, 0.3))
-            o12 = gaussian_overlap(z1, z2, h)
-            o21 = gaussian_overlap(z2, z1, h)
+            o12 = overlap(z1, z2, h)
+            o21 = overlap(z2, z1, h)
             assert o12 == pytest.approx(np.conj(o21), rel=1e-12, abs=1e-15)
-            dist2 = (z1 - z2).norm2()
+            dist2 = np.sum((z1.q - z2.q) ** 2 + (z1.p - z2.p) ** 2)
             assert abs(o12) == pytest.approx(np.exp(-dist2 / (4 * h)), rel=1e-12, abs=1e-300)
-
-    def test_h_validation(self):
-        z = PhasePoint([0.0], [0.0])
-        with pytest.raises(ValueError):
-            gaussian_overlap(z, z, 0.0)
 
 
 class TestStateNorm2:
@@ -140,9 +85,9 @@ class TestStateNorm2:
         z1 = PhasePoint([-1.0, 1.0], [1.0, 1.0])
         z2 = PhasePoint([0.0, 1.0], [-1.0, -0.5])
         st = GaussianState.from_branches(0.01, [(1.0, z1), (1.0, z2)])
-        overlap = gaussian_overlap(z1, z2, 0.01)
-        expected = 2.0 + 2.0 * overlap.real
-        assert abs(overlap) < np.exp(-181)
+        o12 = overlap(z1, z2, 0.01)
+        expected = 2.0 + 2.0 * o12.real
+        assert abs(o12) < np.exp(-181)
         assert state_norm2(st) == pytest.approx(expected, rel=1e-14)
         assert state_norm2(st) == pytest.approx(2.0, rel=1e-12)
 

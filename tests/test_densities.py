@@ -2,18 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from phasespec import (
-    CrossTermPolicy,
-    GaussianState,
-    PhasePoint,
-    hermite_mixture,
-    hermite_spectrogram,
-    husimi,
-    laplacian_husimi,
-    mu,
-    state_norm2,
-    wigner,
-)
+from phasespec import CrossTermPolicy, GaussianState, PhasePoint, state_norm2
 from phasespec import densities as D
 from phasespec.quadrature import tensor_grid_integrals
 from phasespec.observables import weyl_expectation_gaussian, observable_from_polynomial_records
@@ -21,6 +10,7 @@ from phasespec.experiments import benchmark_superposition, fit_loglog_slope
 
 from _oracles import (
     _pair_geometry,
+    branch_mixture_mu,
     fd_laplacian,
     hermite_window_1d,
     mu_single_branch_many,
@@ -44,7 +34,7 @@ def random_points_near(state, n, rng, spread=3.0):
 class TestWigner:
     def test_center_value(self):
         st = GaussianState.wavepacket(0.1, [0.2], [0.5])
-        assert wigner(st, PhasePoint([0.2], [0.5])) == pytest.approx(
+        assert D.wigner_many(st, [0.2], [0.5])[0] == pytest.approx(
             1.0 / (np.pi * 0.1), rel=1e-14
         )
 
@@ -52,8 +42,8 @@ class TestWigner:
         h = 0.1
         st = GaussianState.wavepacket(h, [0.0], [0.0])
         # |w - z|^2 = h gives e^{-1} times the peak
-        w = PhasePoint([np.sqrt(h)], [0.0])
-        assert wigner(st, w) == pytest.approx(np.exp(-1.0) / (np.pi * h), rel=1e-13)
+        w = ([np.sqrt(h)], [0.0])
+        assert D.wigner_many(st, *w)[0] == pytest.approx(np.exp(-1.0) / (np.pi * h), rel=1e-13)
 
     def test_two_equal_branches_quadruple(self):
         z = PhasePoint([0.3, -0.2], [0.1, 0.4])
@@ -73,9 +63,9 @@ class TestWigner:
         st = GaussianState.from_branches(
             h, [(1.0, PhasePoint([-2.0], [0.0])), (1.0, PhasePoint([2.0], [0.0]))]
         )
-        mid = PhasePoint([0.0], [0.0])
-        assert wigner(st, mid) == pytest.approx(2.0 / (np.pi * h), rel=1e-11)
-        assert mu(st, mid) == 0.0
+        mid = ([0.0], [0.0])
+        assert D.wigner_many(st, *mid)[0] == pytest.approx(2.0 / (np.pi * h), rel=1e-11)
+        assert D.mu_many(st, *mid)[0] == 0.0
 
     def test_superposition_vs_transform_quadrature(self):
         # complex coefficients exercise the full cross-term phase
@@ -88,13 +78,13 @@ class TestWigner:
         psi = superposition_1d([(c1, *z1), (c2, *z2)], h)
         for q, p in [(0.0, 0.0), (-0.1, 0.25), (0.5, -0.5), (-0.35, 0.17)]:
             oracle = wigner_transform_quad(psi, q, p, h)
-            assert wigner(st, PhasePoint([q], [p])) == pytest.approx(oracle, abs=1e-10)
+            assert D.wigner_many(st, [q], [p])[0] == pytest.approx(oracle, abs=1e-10)
 
 
 class TestHusimi:
     def test_center_value(self):
         st = GaussianState.wavepacket(0.1, [0.0], [0.0])
-        assert husimi(st, PhasePoint([0.0], [0.0])) == pytest.approx(
+        assert D.husimi_many(st, [0.0], [0.0])[0] == pytest.approx(
             1.0 / (2 * np.pi * 0.1), rel=1e-14
         )
 
@@ -119,7 +109,7 @@ class TestHusimi:
         window = wavepacket_1d(0.0, 0.0, h)
         for q, p in [(0.25, 0.3), (0.0, 0.0)]:
             oracle = spectrogram_convolution_quad(psi, window, q, p, h)
-            assert husimi(st, PhasePoint([q], [p])) == pytest.approx(oracle, rel=1e-8)
+            assert D.husimi_many(st, [q], [p])[0] == pytest.approx(oracle, rel=1e-8)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -131,15 +121,15 @@ class TestHusimi:
 class TestHermiteSpectrogram:
     def test_zero_at_center(self):
         st = GaussianState.wavepacket(0.1, [0.4], [-0.2])
-        assert hermite_spectrogram(st, 1, PhasePoint([0.4], [-0.2])) == 0.0
+        assert D.hermite_spectrogram_many(st, 1, [0.4], [-0.2])[0] == 0.0
 
     def test_stated_value(self):
         h = 0.1
         st = GaussianState.wavepacket(h, [0.0], [0.0])
         # |w - z|^2 = |w_1 - z_1|^2 = 0.2 = 2h
-        w = PhasePoint([np.sqrt(0.2)], [0.0])
+        w = ([np.sqrt(0.2)], [0.0])
         expected = (2 * np.pi * h) ** -1 * 1.0 * np.exp(-1.0)
-        assert hermite_spectrogram(st, 1, w) == pytest.approx(expected, rel=1e-12)
+        assert D.hermite_spectrogram_many(st, 1, *w)[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.5855, abs=5e-5)
 
     def test_single_branch_closed_form(self):
@@ -161,9 +151,7 @@ class TestHermiteSpectrogram:
         psi = wavepacket_1d(0.3, -0.2, h)
         phi = hermite_window_1d(h)
         oracle = spectrogram_convolution_quad(psi, phi, 0.5, 0.1, h)
-        assert hermite_spectrogram(st, 1, PhasePoint([0.5], [0.1])) == pytest.approx(
-            oracle, rel=1e-8
-        )
+        assert D.hermite_spectrogram_many(st, 1, [0.5], [0.1])[0] == pytest.approx(oracle, rel=1e-8)
 
     def test_phase_space_integral_is_one(self):
         # normalized single branch, d = 1: S_1 integrates to 1
@@ -173,11 +161,11 @@ class TestHermiteSpectrogram:
 
     def test_plane_index_range(self):
         st = GaussianState.wavepacket(0.1, [0.0, 0.0], [0.0, 0.0])
-        w = PhasePoint([0.0, 0.0], [0.0, 0.0])
+        w = ([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            hermite_spectrogram(st, 0, w)
+            D.hermite_spectrogram_many(st, 0, *w)
         with pytest.raises(ValueError):
-            hermite_spectrogram(st, 3, w)
+            D.hermite_spectrogram_many(st, 3, *w)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(40)
@@ -191,7 +179,7 @@ class TestMu:
     def test_center_value(self):
         for h in (0.02, 0.1, 0.5):
             st = GaussianState.wavepacket(h, [0.0], [0.0])
-            assert mu(st, PhasePoint([0.0], [0.0])) == pytest.approx(
+            assert D.mu_many(st, [0.0], [0.0])[0] == pytest.approx(
                 1.5 / (2 * np.pi * h), rel=1e-13
             )
 
@@ -199,8 +187,7 @@ class TestMu:
         h, d = 0.07, 2
         st = GaussianState.wavepacket(h, [0.0, 0.0], [0.0, 0.0])
         r = 2.0 * np.sqrt(h * (1 + d / 2.0))
-        w = PhasePoint([r, 0.0], [0.0, 0.0])
-        assert abs(mu(st, w)) < 1e-13 * (2 * np.pi * h) ** -d
+        assert abs(D.mu_many(st, [r, 0.0], [0.0, 0.0])[0]) < 1e-13 * (2 * np.pi * h) ** -d
 
     def test_combination_equals_single_branch_closed_form(self):
         rng = np.random.default_rng(21)
@@ -245,60 +232,22 @@ class TestMu:
                 scale = np.max(np.abs(a))
                 assert np.max(np.abs(a - c)) <= 1e-10 * scale
 
-    def test_neglect_policy_drops_small_pairs(self):
-        st = benchmark_superposition(0.001)  # damping ~ e^-906: below any threshold
-        policy = CrossTermPolicy(mode="neglect", threshold=1e-14)
+    def test_underflowing_cross_term_leaves_branch_mixture(self):
+        st = benchmark_superposition(0.001)  # damping ~ e^-906: the cross term underflows
         rng = np.random.default_rng(8)
         Q, P = random_points_near(st, 100, rng)
-        dropped = D.mu_many(st, Q, P, policy)
-        kept = D.mu_many(st, Q, P, CrossTermPolicy(mode="exact"))
-        s1 = mu_single_branch_many(st.centers_q[0], st.centers_p[0], st.h, Q, P)
-        s2 = mu_single_branch_many(st.centers_q[1], st.centers_p[1], st.h, Q, P)
-        assert np.allclose(dropped, s1 + s2, rtol=1e-13, atol=1e-300)
-        # at h this small the cross term also underflows in the exact path
-        assert np.array_equal(kept, dropped)
-
-    def test_neglect_mask_drops_only_pairs_below_threshold(self):
-        # pair dampings 0.48 for (0, 1), 0.34 for (1, 2) and 0.11 for (0, 2):
-        # a 0.4 threshold keeps (0, 1) and drops the other two
-        h = 0.1
-        st = GaussianState.from_branches(
-            h,
-            [
-                (1.0 + 0.2j, PhasePoint([-0.6, 0.1], [0.2, 0.0])),
-                (0.7 - 0.5j, PhasePoint([0.0, -0.1], [-0.1, 0.3])),
-                (-0.4 + 0.6j, PhasePoint([0.7, 0.2], [0.1, -0.2])),
-            ],
-        )
-        policy = CrossTermPolicy(mode="neglect", threshold=0.4)
-        damp = policy.pair_damping(st)
-        pairs = [(k, l) for k in range(3) for l in range(k + 1, 3)]
-        dropped = [(k, l) for k, l in pairs if damp[k, l] < policy.threshold]
-        assert dropped == [(0, 2), (1, 2)]
-        rng = np.random.default_rng(17)
-        Q, P = random_points_near(st, 500, rng, spread=4.0)
-        exact = D.mu_many(st, Q, P)
-        c = st.coefficients
-        removed = np.zeros(len(Q))
-        for k, l in dropped:
-            OkOl, B = _pair_geometry(st, k, l, Q, P)
-            removed += 2.0 * (c[k] * np.conj(c[l]) * OkOl * B).real
-        removed *= (2 * np.pi * h) ** -st.dim
-        assert np.max(np.abs(removed)) > 0.02 * np.max(np.abs(exact))
-        neglect = D.mu_many(st, Q, P, policy)
-        assert np.max(np.abs(neglect - (exact - removed))) <= 1e-13 * np.max(np.abs(exact))
+        assert np.allclose(D.mu_many(st, Q, P), branch_mixture_mu(st, Q, P), rtol=1e-13, atol=1e-300)
 
     def test_cross_term_damping_bound(self):
-        # |mu_exact - mu_neglect| <= damping * max |interference bracket|
+        # |mu - branch mixture| <= damping * max |interference bracket|, the
+        # bias of the neglect policy's sampler
         h = 0.1
         st = benchmark_superposition(h)
-        policy_all = CrossTermPolicy(mode="exact")
-        policy_none = CrossTermPolicy(mode="neglect", threshold=1.1)  # drops every pair
         rng = np.random.default_rng(14)
         Q, P = random_points_near(st, 4000, rng, spread=5.0)
-        exact = D.mu_many(st, Q, P, policy_all)
-        neglect = D.mu_many(st, Q, P, policy_none)
-        damping = policy_all.pair_damping(st)[0, 1]
+        exact = D.mu_many(st, Q, P)
+        neglect = branch_mixture_mu(st, Q, P)
+        damping = CrossTermPolicy().pair_damping(st)[0, 1]
         assert 1e-6 < damping < 1e-3
         # independent bound from the interference bracket magnitude
         OkOl, B = _pair_geometry(st, 0, 1, Q, P)
@@ -318,9 +267,7 @@ class TestLaplacianHusimi:
         h = 0.1
         st = GaussianState.wavepacket(h, [0.0], [0.0])
         expected = -(2.0 / h) / (2 * np.pi * h)
-        assert laplacian_husimi(st, PhasePoint([0.0], [0.0])) == pytest.approx(
-            expected, rel=1e-13
-        )
+        assert D.laplacian_husimi_many(st, [0.0], [0.0])[0] == pytest.approx(expected, rel=1e-13)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -330,10 +277,8 @@ class TestLaplacianHusimi:
         )
         for _ in range(5):
             w = rng.normal(size=2) * 0.4
-            oracle = fd_laplacian(
-                lambda x: husimi(st, PhasePoint([x[0]], [x[1]])), w, step=1e-3
-            )
-            val = laplacian_husimi(st, PhasePoint([w[0]], [w[1]]))
+            oracle = fd_laplacian(lambda x: D.husimi_many(st, x[:1], x[1:])[0], w, step=1e-3)
+            val = D.laplacian_husimi_many(st, w[:1], w[1:])[0]
             assert val == pytest.approx(oracle, rel=1e-5)
 
     def test_matches_finite_differences_d2(self):
@@ -341,10 +286,8 @@ class TestLaplacianHusimi:
         h = 0.1
         st = GaussianState.wavepacket(h, [0.1, -0.2], [0.3, 0.0])
         w = rng.normal(size=4) * 0.3
-        oracle = fd_laplacian(
-            lambda x: husimi(st, PhasePoint(x[:2], x[2:])), w, step=1e-3
-        )
-        val = laplacian_husimi(st, PhasePoint(w[:2], w[2:]))
+        oracle = fd_laplacian(lambda x: D.husimi_many(st, x[:2], x[2:])[0], w, step=1e-3)
+        val = D.laplacian_husimi_many(st, w[:2], w[2:])[0]
         assert val == pytest.approx(oracle, rel=1e-5)
 
     def test_integral_vanishes(self):

@@ -17,13 +17,17 @@ from phasespec import (
     weyl_expectation_gaussian,
 )
 from phasespec.exceptions import ResourceGuardError
-from _oracles import marginal_reference_slabs
+from _oracles import marginal_reference_slabs, superposition_1d
 from phasespec.observables import (
     momentum_space_state,
     observable_from_label,
     observable_from_polynomial_records,
-    position_wavefunction,
 )
+
+
+def at(A, q, p):
+    """A's value at the single phase-space point (q, p)."""
+    return float(A.evaluate([q], [p])[0])
 
 
 def random_polynomial(rng, d, max_degree=3, n_terms=5):
@@ -64,35 +68,84 @@ class TestPolynomialSymbol:
             PolynomialSymbol(((1.0, (1, 0, 0)),))  # odd variable count
 
 
+@strategies.composite
+def raw_terms(draw, d):
+    """(coefficient, exponents) records over 2d variables, exponents <= 3,
+    with repeated exponent tuples and some terms cancelled by their negation."""
+    exps = strategies.tuples(*[strategies.integers(0, 3)] * (2 * d))
+    pool = draw(strategies.lists(exps, min_size=1, max_size=4))
+    coeff = strategies.one_of(
+        strategies.sampled_from([1.0, -1.0, 0.5, 2.0, 0.0]),
+        strategies.floats(-2.0, 2.0, allow_nan=False),
+    )
+    terms = draw(
+        strategies.lists(strategies.tuples(coeff, strategies.sampled_from(pool)), min_size=1, max_size=8)
+    )
+    cancelled = draw(strategies.lists(strategies.sampled_from(terms), max_size=3))
+    return draw(strategies.permutations(terms + [(-c, e) for c, e in cancelled]))
+
+
+def raw_sum(terms, Q, P):
+    """sum_t c_t prod_i x_i^e_ti straight from the records, and the same sum
+    of absolute values (the rounding scale)."""
+    X = np.hstack([Q, P])
+    values = np.array([c * np.prod(X ** np.array(e), axis=1) for c, e in terms])
+    return values.sum(axis=0), np.abs(values).sum(axis=0)
+
+
+class TestPolynomialCanonicalProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=strategies.data(), d=strategies.integers(1, 3), seed=strategies.integers(0, 2**32 - 1))
+    def test_canonical_form(self, data, d, seed):
+        a_terms = data.draw(raw_terms(d))
+        b_terms = data.draw(raw_terms(d))
+        a, b = PolynomialSymbol(tuple(a_terms)), PolynomialSymbol(tuple(b_terms))
+        zero = ((0.0, (0,) * (2 * d)),)
+        for poly in (a, b, a + b):
+            exps = [e for _, e in poly.terms]
+            assert exps == sorted(set(exps))
+            assert poly.terms == zero or all(c != 0.0 for c, _ in poly.terms)
+            assert PolynomialSymbol(poly.terms) == poly
+        rng = np.random.default_rng(seed)
+        Q, P = rng.uniform(-1.5, 1.5, size=(2, 20, d))
+        scale = 1.0
+        for poly, terms in ((a, a_terms), (b, b_terms)):
+            want, term_scale = raw_sum(terms, Q, P)
+            assert np.all(np.abs(poly.evaluate(Q, P) - want) <= 1e-12 * (1.0 + term_scale))
+            scale = scale + term_scale
+        summed = a.evaluate(Q, P) + b.evaluate(Q, P)
+        assert np.all(np.abs((a + b).evaluate(Q, P) - summed) <= 1e-12 * scale)
+
+
 class TestNamedObservables:
     def test_torsional_values(self):
         A = torsional_potential(2)
-        assert A(PhasePoint([0.0, 0.0], [0.0, 0.0])) == pytest.approx(0.0, abs=0)
-        assert A(PhasePoint([np.pi, np.pi], [0.0, 0.0])) == pytest.approx(4.0)
-        assert A(PhasePoint([np.pi / 2, 0.0], [1.0, 2.0])) == pytest.approx(1.0)
+        assert at(A, [0.0, 0.0], [0.0, 0.0]) == pytest.approx(0.0, abs=0)
+        assert at(A, [np.pi, np.pi], [0.0, 0.0]) == pytest.approx(4.0)
+        assert at(A, [np.pi / 2, 0.0], [1.0, 2.0]) == pytest.approx(1.0)
         assert A.polynomial is None
         with pytest.raises(ValueError):
             torsional_potential(1)
 
     def test_torsional_ignores_extra_planes(self):
         A = torsional_potential(3)
-        assert A(PhasePoint([np.pi, np.pi, 1.7], [0.0, 0.0, 0.3])) == pytest.approx(4.0)
+        assert at(A, [np.pi, np.pi, 1.7], [0.0, 0.0, 0.3]) == pytest.approx(4.0)
 
     def test_quartic_values(self):
         A = quartic_momentum(2)
-        assert A(PhasePoint([1.0, 2.0], [0.0, 0.0])) == 0.0
-        assert A(PhasePoint([0.0, 0.0], [1.0, 1.0])) == pytest.approx(4.0)
-        assert A(PhasePoint([0.0, 0.0], [3.0, 4.0])) == pytest.approx(625.0)
+        assert at(A, [1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert at(A, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(4.0)
+        assert at(A, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(625.0)
         assert A.polynomial.degree() == 4
 
     def test_henon_heiles_values(self):
         spec = HenonHeilesSpec(d=2)
         kinetic, potential = henon_heiles_energy(spec)
-        assert kinetic(PhasePoint([0.0, 0.0], [1.0, 0.0])) == pytest.approx(0.5)
-        assert potential(PhasePoint([0.0, 0.0], [0.0, 0.0])) == 0.0
+        assert at(kinetic, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(0.5)
+        assert at(potential, [0.0, 0.0], [0.0, 0.0]) == 0.0
         q = 0.3645
         expected = q**2 + 1.8436 * (q**2 * q - q**3 / 3.0)
-        assert potential(PhasePoint([q, q], [0.0, 0.0])) == pytest.approx(expected, rel=1e-14)
+        assert at(potential, [q, q], [0.0, 0.0]) == pytest.approx(expected, rel=1e-14)
         assert kinetic.polynomial.degree() == 2
         assert potential.polynomial.degree() == 3
         with pytest.raises(ValueError):
@@ -120,7 +173,7 @@ class TestNamedObservables:
 
     def test_inline_polynomial_records(self):
         A = observable_from_polynomial_records([[2.0, [1, 0, 0, 0]], [1.0, [0, 0, 0, 2]]], 2)
-        assert A(PhasePoint([3.0, 0.0], [0.0, 5.0])) == pytest.approx(31.0)
+        assert at(A, [3.0, 0.0], [0.0, 5.0]) == pytest.approx(31.0)
         with pytest.raises(ValueError):
             observable_from_polynomial_records([[1.0, [1, 0]]], 2)
 
@@ -187,6 +240,11 @@ class TestWeylExpectation:
             weyl_expectation_gaussian(torsional_potential(2), st)
 
 
+def branches_1d(state):
+    """(coeff, q, p) triples of a d = 1 state, for ``superposition_1d``."""
+    return [(c, q[0], p[0]) for c, q, p in zip(state.coefficients, state.centers_q, state.centers_p)]
+
+
 class TestMomentumTransform:
     def test_fft_oracle(self):
         # psi_hat(xi) = (2 pi h)^{-1/2} integral psi(x) e^{-i xi x / h} dx,
@@ -199,17 +257,17 @@ class TestMomentumTransform:
         mst = momentum_space_state(st)
         x = np.linspace(-12.0, 12.0, 2**16)
         dx = x[1] - x[0]
-        psi = position_wavefunction(st, x[:, None])
+        psi = superposition_1d(branches_1d(st), h)(x)
+        psi_hat = superposition_1d(branches_1d(mst), h)
         for xi in (-0.6, 0.0, 0.45):
             direct = (2 * np.pi * h) ** -0.5 * np.sum(psi * np.exp(-1j * xi * x / h)) * dx
-            closed = position_wavefunction(mst, np.array([[xi]]))[0]
-            assert closed == pytest.approx(direct, abs=1e-8)
+            assert psi_hat(xi) == pytest.approx(direct, abs=1e-8)
 
     def test_momentum_density_center(self):
         st = GaussianState.wavepacket(0.1, [0.7], [1.3])
         mst = momentum_space_state(st)
         # |psi_hat|^2 peaks at p with the position-density peak height
-        val = abs(position_wavefunction(mst, np.array([[1.3]]))[0]) ** 2
+        val = abs(superposition_1d(branches_1d(mst), 0.1)(1.3)) ** 2
         assert val == pytest.approx((np.pi * 0.1) ** -0.5, rel=1e-12)
 
 
