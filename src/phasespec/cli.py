@@ -125,7 +125,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if config.experiment == "density-section":
             h = config.h if config.h is not None else 0.1
-            table = run_density_section(h=h, max_radius=config.max_radius, n_points=config.n_points)
+            table = run_density_section(h, config.max_radius, config.n_points, force=config.force)
             _emit(table, config)
         elif config.experiment == "accuracy-sweep":
             kwargs = {}

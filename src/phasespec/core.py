@@ -154,18 +154,20 @@ class GaussianState:
 
 
 def _overlap_exponents(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """log O[i, k], the exponent of :func:`_overlap_factors`."""
+    """log O[k, i], the exponent of :func:`_overlap_factors`: a branch-major
+    (K, m) table, with the squared distances summed one plane at a time."""
     h = state.h
-    dq = Q[:, None, :] - state.centers_q[None, :, :]
-    dp = P[:, None, :] - state.centers_p[None, :, :]
-    dist2 = np.sum(dq * dq + dp * dp, axis=-1)
+    cq, cp = state.centers_q, state.centers_p
+    dist2 = np.zeros((state.n_branches, Q.shape[0]))
+    for j in range(state.dim):
+        dq, dp = Q[:, j] - cq[:, j, None], P[:, j] - cp[:, j, None]
+        dist2 += dq * dq + dp * dp
     # sigma(w, z_k) = Q . p_k - P . q_k
-    sig = Q @ state.centers_p.T - P @ state.centers_q.T
-    return -dist2 / (4.0 * h) + 1j * sig / (2.0 * h)
+    return dist2 / (-4.0 * h) + 1j * ((cp @ Q.T - cq @ P.T) * (1.0 / (2.0 * h)))
 
 
 def _overlap_factors(state: GaussianState, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """O[i, k] = <g_{w_i}, g_{z_k}> for evaluation points w_i = (Q[i], P[i])."""
+    """O[k, i] = <g_{w_i}, g_{z_k}> at the points w_i = (Q[i], P[i]), shape (K, m)."""
     return np.exp(_overlap_exponents(state, Q, P))
 
 
@@ -187,7 +189,7 @@ def _pair_terms(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarra
     k, l = np.triu_indices(state.n_branches)
     c, q, p = state.coefficients, state.centers_q, state.centers_p
     C = np.where(k == l, 1.0, 2.0) * np.conj(c[k]) * c[l]
-    L = _overlap_exponents(state, q, p)[k, l]
+    L = _overlap_exponents(state, q, p)[l, k]  # (branch l, point z_k)
     Mq = 0.5 * (q[k] + q[l]) + 0.5j * (p[l] - p[k])
     Mp = 0.5 * (p[k] + p[l]) - 0.5j * (q[l] - q[k])
     return C, L, np.hstack([Mq, Mp])
@@ -200,5 +202,5 @@ def state_norm2(state: GaussianState) -> float:
     permutation of the branches.
     """
     c = state.coefficients
-    val = np.conj(c) @ _overlap_factors(state, state.centers_q, state.centers_p) @ c
+    val = np.conj(c) @ _overlap_factors(state, state.centers_q, state.centers_p).T @ c
     return float(val.real)

@@ -45,8 +45,10 @@ and the bilinear square s2 = sum (w - M_kl)^2 (not |w - M_kl|^2),
 
 The log of the overlap <g_{z_k}, g_{z_l}> is added to the exponent rather
 than multiplied in, so a far-apart pair whose overlap underflows cannot meet
-an overflowing e^{-s2/h}.  H and the S_j keep the O(mK) amplitude form below,
-which the sampler calls.
+an overflowing e^{-s2/h}.  H and the S_j keep the O(mK) amplitude form above,
+from one branch-major (K, m) overlap table O[k, i] = O_k(w_i) that the
+sampler's weights share; the plane sums take one (K, m) product zeta_j O at
+a time, never a (K, d, m) array.
 
 Every evaluator is batched: the ``*_many`` functions take point coordinates
 Q, P of shape (m, d) and return shape (m,); a single point is a (1, d) pair.
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianState, _overlap_factors, _pair_terms
+from .core import GaussianState, _overlap_exponents, _overlap_factors, _pair_terms
 
 __all__ = [
     "CrossTermPolicy",
@@ -94,11 +96,8 @@ class CrossTermPolicy:
             raise ValueError("threshold must be a finite non-negative real")
 
     def pair_damping(self, state: GaussianState) -> np.ndarray:
-        """Matrix of damping factors exp(-|z_k - z_l|^2 / (8h))."""
-        dq = state.centers_q[:, None, :] - state.centers_q[None, :, :]
-        dp = state.centers_p[:, None, :] - state.centers_p[None, :, :]
-        dist2 = np.sum(dq * dq + dp * dp, axis=-1)
-        return np.exp(-dist2 / (8.0 * state.h))
+        """Matrix of damping factors exp(-|z_k - z_l|^2 / (8h)) = |<g_{z_k}, g_{z_l}>|^(1/2)."""
+        return np.exp(0.5 * _overlap_exponents(state, state.centers_q, state.centers_p).real)
 
     def max_offdiagonal_damping(self, state: GaussianState) -> float:
         if state.n_branches == 1:
@@ -119,37 +118,29 @@ def _points(Q, P, d: int) -> tuple[np.ndarray, np.ndarray]:
 def husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     """Husimi function H(w) >= 0 at points (Q, P) of shape (m, d)."""
     Q, P = _points(Q, P, state.dim)
-    amp = _overlap_factors(state, Q, P) @ state.coefficients
+    amp = state.coefficients @ _overlap_factors(state, Q, P)
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
 
-def _plane_offsets(
-    state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray, planes=slice(None)
-) -> np.ndarray:
-    """Z[j, i, k] = zeta_{j,k}(w_i) O_k(w_i) for the selected planes, laid
-    out plane-major as one (planes, m, K) array."""
-    cq = state.centers_q[:, planes].T
-    cp = state.centers_p[:, planes].T
-    zeta = np.empty((cq.shape[0],) + O.shape, dtype=complex)
-    np.subtract(cq[:, None, :], Q[:, planes].T[:, :, None], out=zeta.real)
-    np.subtract(cp[:, None, :], P[:, planes].T[:, :, None], out=zeta.imag)
-    zeta /= np.sqrt(2.0 * state.h)
-    zeta *= O[None]
-    return zeta
-
-
-def _plane_amplitudes(
-    state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray, planes=slice(None)
-) -> np.ndarray:
-    """A[j, i] = sum_k c_k zeta_{j,k}(w_i) O_k(w_i) for the selected planes,
-    contracted with the coefficients in a single (planes * m, K) product."""
-    Z = _plane_offsets(state, Q, P, O, planes)
-    return (Z.reshape(-1, O.shape[1]) @ state.coefficients).reshape(Z.shape[0], -1)
+def _plane_offset(state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray, j: int) -> np.ndarray:
+    """Z[k, i] = zeta_{j,k}(w_i) O[k, i] on plane j (0-based), branch-major
+    like the overlap table O."""
+    Z = np.empty(O.shape, dtype=complex)
+    np.subtract(state.centers_q[:, j, None], Q[:, j], out=Z.real)
+    np.subtract(state.centers_p[:, j, None], P[:, j], out=Z.imag)
+    # a product with the reciprocal: the doubles of a complex division by sqrt(2h), far cheaper
+    Z *= 1.0 / np.sqrt(2.0 * state.h)
+    Z *= O
+    return Z
 
 
 def _plane_power_sum(state: GaussianState, Q: np.ndarray, P: np.ndarray, O: np.ndarray) -> np.ndarray:
-    """sum_j |A_j|^2, accumulated plane by plane in order j = 1..d."""
-    return np.sum(np.abs(_plane_amplitudes(state, Q, P, O)) ** 2, axis=0)
+    """sum_j |sum_k c_k zeta_{j,k} O_k|^2, accumulated one plane at a time in
+    order j = 1..d, so every temporary stays (K, m)."""
+    total = np.zeros(O.shape[1])
+    for j in range(state.dim):
+        total += np.abs(state.coefficients @ _plane_offset(state, Q, P, O, j)) ** 2
+    return total
 
 
 def hermite_spectrogram_many(state: GaussianState, j: int, Q, P) -> np.ndarray:
@@ -158,7 +149,7 @@ def hermite_spectrogram_many(state: GaussianState, j: int, Q, P) -> np.ndarray:
         raise ValueError(f"plane index {j} out of range 1..{state.dim}")
     Q, P = _points(Q, P, state.dim)
     O = _overlap_factors(state, Q, P)
-    amp = _plane_amplitudes(state, Q, P, O, slice(j - 1, j))[0]
+    amp = state.coefficients @ _plane_offset(state, Q, P, O, j - 1)
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
 
@@ -169,18 +160,22 @@ def hermite_mixture_many(state: GaussianState, Q, P) -> np.ndarray:
     return (2.0 * np.pi * state.h) ** (-state.dim) * total / state.dim
 
 
+def _amplitude_powers(state: GaussianState, Q, P) -> tuple[np.ndarray, np.ndarray]:
+    """(|sum_k c_k O_k|^2, sum_j |sum_k c_k zeta_{j,k} O_k|^2) from one table."""
+    Q, P = _points(Q, P, state.dim)
+    O = _overlap_factors(state, Q, P)
+    return np.abs(state.coefficients @ O) ** 2, _plane_power_sum(state, Q, P, O)
+
+
 def mu_combination_many(state: GaussianState, Q, P) -> np.ndarray:
     """mu(w) evaluated literally as (1 + d/2) H(w) - (1/2) sum_j S_j(w).
 
     Reference path for the closed-form evaluators; always includes all
     branch-pair interference.
     """
-    Q, P = _points(Q, P, state.dim)
     d = state.dim
-    O = _overlap_factors(state, Q, P)
-    total = (1.0 + d / 2.0) * np.abs(O @ state.coefficients) ** 2
-    total -= 0.5 * _plane_power_sum(state, Q, P, O)
-    return (2.0 * np.pi * state.h) ** (-d) * total
+    h_sq, s_sum = _amplitude_powers(state, Q, P)
+    return (2.0 * np.pi * state.h) ** (-d) * ((1.0 + d / 2.0) * h_sq - 0.5 * s_sum)
 
 
 def _pair_squares(state: GaussianState, Q: np.ndarray, P: np.ndarray):
@@ -235,9 +230,6 @@ def laplacian_husimi_many(state: GaussianState, Q, P) -> np.ndarray:
 
     where the Laplacian runs over all 2d phase-space coordinates.
     """
-    Q, P = _points(Q, P, state.dim)
     d, h = state.dim, state.h
-    O = _overlap_factors(state, Q, P)
-    s_sum = _plane_power_sum(state, Q, P, O)
-    h_sq = np.abs(O @ state.coefficients) ** 2
+    h_sq, s_sum = _amplitude_powers(state, Q, P)
     return (2.0 * np.pi * h) ** (-d) * ((2.0 / h) * s_sum - (2.0 * d / h) * h_sq)

@@ -97,12 +97,15 @@ GRID_COST_PER_TERM_POINT_SECONDS = 9.4e-8
 TENSOR_COST_PER_BRANCH_POINT_SECONDS = 1.4e-7
 TENSOR_COST_PER_ROW_POINT_SECONDS = 4.0e-8
 TENSOR_COST_PER_GRAM_ENTRY_SECONDS = 2.5e-9
-# Seconds per (sample x uniform coordinate) of one exact-policy
-# (importance-weighted) estimator pass over two observables on the
-# two-branch d = 2 benchmark superposition: 2.6-3.0e-7 measured for the mu
-# method and 1.9-2.1e-7 for the husimi method at n = 1e5 and 4e5 on a
-# 2-core Xeon host, plus headroom for host drift.
-EXACT_COST_PER_COORD_SECONDS = 4e-7
+# Seconds per (sample x uniform coordinate) of one exact-policy estimator pass
+# over torsional and quartic-momentum, medians of 5 alternating runs at h = 0.01
+# on a 2-core Xeon host: d = 2 (the sweep's state) 1.10-1.14e-7 (mu) and
+# 8.5-8.9e-8 (husimi) at n = 1e5 and 4e5, projected / measured 0.88-1.18; a
+# two-branch d = 3 state 6.5-8.6e-8, projected / measured 1.16-1.54.
+EXACT_COST_PER_COORD_SECONDS = 1.0e-7
+# Seconds per density-section point, densities to CSV row: medians of 5 runs
+# 1.42-1.44e-5 at 1e5 and 3e5 points on a 2-core Xeon host (projected / measured 1.05).
+DENSITY_SECTION_COST_PER_POINT_SECONDS = 1.5e-5
 TIME_BUDGET_SECONDS = 600.0
 
 
@@ -363,14 +366,14 @@ def base_metadata(config: RunConfig, generator: str | None = None) -> dict:
 
 
 def run_density_section(
-    h: float = 0.1, max_radius: float | None = None, n_points: int = 400
+    h: float = 0.1, max_radius: float | None = None, n_points: int = 400, force: bool = False
 ) -> SweepResult:
     """Radial section of the Wigner, Husimi and mu densities of a single
     d = 1 wavepacket, tabulated against |w - z|.
 
     The mu column changes sign exactly once, at |w - z| = 2 sqrt(h (1 + d/2)).
     A max_radius that is not positive and finite, or fewer than 2 points, is
-    refused.
+    refused, and so (unless ``force``) is one over the time budget.
     """
     state = GaussianState.wavepacket(h, [0.0], [0.0])
     if max_radius is None:
@@ -378,6 +381,7 @@ def run_density_section(
     if not (np.isfinite(max_radius) and max_radius > 0.0):
         raise ValueError(f"max_radius must be positive and finite, got {max_radius}")
     _require_grid("n_points", n_points)
+    _require_budget(n_points * DENSITY_SECTION_COST_PER_POINT_SECONDS, force)
     radii = np.linspace(0.0, max_radius, n_points)
     Q = radii[:, None]
     P = np.zeros_like(Q)

@@ -21,7 +21,8 @@ and term; it equals the literal pointwise sum up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import compress
+from math import comb, exp, log
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,10 +59,16 @@ def _double_factorial(n: int) -> int:
 def _normal_moment(mean, var: float, e: int):
     """E[X^e] for X ~ N(mean, var) with a real or complex mean (array or
     scalar), via the central moment table
-    E[(X-mean)^k] = (k-1)!! var^(k/2) for even k, 0 for odd k."""
+    E[(X-mean)^k] = (k-1)!! var^(k/2) for even k, 0 for odd k.  A term
+    scale whose integer factor or power leaves the float range is formed
+    from logarithms (OverflowError if the scale itself does)."""
     total = 0.0
     for k in range(0, e + 1, 2):
-        total += comb(e, k) * _double_factorial(k - 1) * var ** (k // 2) * mean ** (e - k)
+        try:
+            scale = comb(e, k) * _double_factorial(k - 1) * var ** (k // 2)
+        except OverflowError:
+            scale = exp(log(comb(e, k) * _double_factorial(k - 1)) + (k // 2) * log(var))
+        total += scale * mean ** (e - k)
     return total
 
 
@@ -374,11 +381,10 @@ def weyl_expectation_gaussian(A, state: GaussianState) -> float:
     moments: dict[tuple[int, int], np.ndarray] = {}
     for coeff, exps in poly.terms:
         prod = coeff
-        for i, e in enumerate(exps):
-            if e:
-                if (i, e) not in moments:
-                    moments[i, e] = _normal_moment(M[:, i], var, e)
-                prod = prod * moments[i, e]
+        for i, e in compress(enumerate(exps), exps):
+            if (i, e) not in moments:
+                moments[i, e] = _normal_moment(M[:, i], var, e)
+            prod = prod * moments[i, e]
         total += prod
     return float(((C * np.exp(L)) @ total).real / state_norm2(state))
 

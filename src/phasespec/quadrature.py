@@ -12,11 +12,11 @@ branch superpositions every density handled here is a sum over branch pairs
 with per-plane factors G_klj = O_kj conj(O_lj) and beta_klj =
 2h zeta_jk conj(zeta_jl), built from the overlaps O_kj(w_j) = <g_{w_j}, g_{z_kj}>
 and offsets zeta_jk of :mod:`phasespec.densities`.  On the plane-j grid, with
-trapezoid weights w, a plane factor f of A, V[i, k] = O_kj(w_i) and
-Z = zeta_j V, the plane integrals over every pair (k, l) are Gram matrices:
+trapezoid weights w, a plane factor f of A, V[k, i] = O_kj(w_i) (branch-major)
+and Z = zeta_j V, the plane integrals over every pair (k, l) are Gram matrices:
 
-    sum_i w f G_klj = (V.T * w f) @ conj(V),
-    sum_i w f beta_klj G_klj = 2h (Z.T * w f) @ conj(Z).
+    sum_i w f G_klj = (V * w f) @ conj(V).T,
+    sum_i w f beta_klj G_klj = 2h (Z * w f) @ conj(Z).T.
 
 When the observable is itself a sum of per-plane factors (every polynomial
 is, and so are the named trigonometric observables), the full tensor-grid
@@ -147,16 +147,16 @@ def tensor_grid_integrals(
             Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
             w = np.outer(w_q[rows], w_p).ravel()
             V = _overlap_factors(plane, Q, P)
-            Vc = V.conj()
+            Vc = V.conj().T
             if offsets:
-                Z = densities._plane_offsets(plane, Q, P, V)[0]
-                Zc = Z.conj()
+                Z = densities._plane_offset(plane, Q, P, V, 0)
+                Zc = Z.conj().T
             for r in computed:
                 f = row_factors[r][j]
                 wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
-                I0[r, j] += (V.T * wf) @ Vc
+                I0[r, j] += (V * wf) @ Vc
                 if offsets:
-                    Ib[r, j] += 2.0 * h * ((Z.T * wf) @ Zc)
+                    Ib[r, j] += 2.0 * h * ((Z * wf) @ Zc)
         copied = [r for r, fs in enumerate(row_factors) if r and fs[j] is None]
         I0[copied, j] = I0[0, j]
         Ib[copied, j] = Ib[0, j]

@@ -25,7 +25,8 @@ bit-identical for any worker count.
 
 Each chunk's uniforms are read once; the samples are then assembled and the
 observables (and, under the exact policy, the importance weights) evaluated
-``_BLOCK_ROWS`` rows at a time, so the temporaries stay in cache.  Every
+``_BLOCK_ROWS`` rows at a time, so the temporaries stay in cache; a block's
+weights come from one overlap table (``_importance_weights``).  Every
 sample depends on its own uniform row only, and the chunk sums are taken
 over the whole chunk after the last block, so the row blocking leaves the
 sums unchanged.
@@ -55,8 +56,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .core import GaussianState, state_norm2
-from .densities import CrossTermPolicy, hermite_mixture_many, husimi_many
+from .core import GaussianState, _overlap_exponents, state_norm2
+from .densities import CrossTermPolicy, _plane_power_sum
 from .exceptions import NonFiniteResultError, NonNegligibleCrossTermsError
 from .observables import Observable
 
@@ -466,28 +467,29 @@ def _pairwise_reduce(parts: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def _proposal_husimi(state: GaussianState, Q, P) -> np.ndarray:
-    """Branch-mixture proposal pdf for the Husimi component."""
-    h, d = state.h, state.dim
-    probs = _branch_probabilities(state)
-    dq = Q[:, None, :] - state.centers_q[None, :, :]
-    dp = P[:, None, :] - state.centers_p[None, :, :]
-    r2 = np.sum(dq * dq + dp * dp, axis=-1)
-    dens = (2.0 * np.pi * h) ** (-d) * np.exp(-r2 / (2.0 * h))
-    return dens @ probs
+def _importance_weights(state: GaussianState, component: str, Q: np.ndarray, P: np.ndarray, norm: float) -> np.ndarray:
+    """Exact-policy weights exact density / (proposal pdf * norm) of a block
+    of ``component`` samples, from one overlap table O_k = <g_w, g_{z_k}>.
 
-
-def _proposal_hermite(state: GaussianState, Q, P) -> np.ndarray:
-    """Branch-mixture proposal pdf for the Hermite-mixture component."""
-    h, d = state.h, state.dim
-    probs = _branch_probabilities(state)
-    dq = Q[:, None, :] - state.centers_q[None, :, :]
-    dp = P[:, None, :] - state.centers_p[None, :, :]
-    plane_r2 = dq * dq + dp * dp
-    r2 = np.sum(plane_r2, axis=-1)
-    radial = np.mean(plane_r2, axis=-1) / (2.0 * h)
-    dens = (2.0 * np.pi * h) ** (-d) * radial * np.exp(-r2 / (2.0 * h))
-    return dens @ probs
+    With the plane offsets zeta_jk of :mod:`phasespec.densities` and the
+    branch probabilities p_k, they are |sum_k c_k O_k|^2 / sum_k p_k |O_k|^2
+    (Husimi) and sum_j |sum_k c_k zeta_jk O_k|^2 / sum_k p_k sum_j |zeta_jk O_k|^2
+    (Hermite mixture).  Each point's exponents are shifted by their largest
+    real part, so a point far from every branch gets no 0/0."""
+    E = _overlap_exponents(state, Q, P)
+    modulus = np.exp(E.real - E.real.max(axis=0))
+    # the exp of the real and imaginary parts apart is cheaper than a complex exp
+    O = np.empty_like(E)
+    np.multiply(modulus, np.cos(E.imag), out=O.real)
+    np.multiply(modulus, np.sin(E.imag), out=O.imag)
+    power = modulus * modulus
+    if component == "husimi":
+        num = np.abs(state.coefficients @ O) ** 2
+    else:
+        num = _plane_power_sum(state, Q, P, O)
+        # sum_j |zeta_jk|^2 = |w - z_k|^2 / (2h) = -2 Re log O_k
+        power *= -2.0 * E.real
+    return num / ((_branch_probabilities(state) @ power) * norm)
 
 
 def _observable_values(observables: Sequence[Observable], Q, P) -> list[np.ndarray]:
@@ -594,16 +596,9 @@ def estimate_expectation(
         for lo in range(0, e - s, _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
             Q, P, _, _ = _component_arrays(state, component, u[block])
-            if exact_mode:
-                if component == "husimi":
-                    target = husimi_many(state, Q, P)
-                    proposal = _proposal_husimi(state, Q, P)
-                else:
-                    target = hermite_mixture_many(state, Q, P)
-                    proposal = _proposal_hermite(state, Q, P)
-                denom = proposal * norm
+            weights = _importance_weights(state, component, Q, P, norm) if exact_mode else None
             for row, v in zip(vals, _observable_values(observables, Q, P)):
-                row[block] = v * target / denom if exact_mode else v
+                row[block] = v if weights is None else v * weights
         return np.array([(e - s, np.sum(row), np.sum(row * row)) for row in vals])
 
     tasks = [(comp, s, e) for comp, lo, hi in plan for s, e in _chunk_ranges(lo, hi)]

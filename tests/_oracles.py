@@ -7,7 +7,9 @@ quadrature so it stays independent of the closed forms under test.
 import numpy as np
 from scipy.integrate import quad
 
+from phasespec.core import GaussianState
 from phasespec.densities import _points
+from phasespec.sampling import _branch_probabilities
 
 
 def wavepacket_1d(q0, p0, h):
@@ -176,7 +178,7 @@ def tensor_grid_every_row(state, observable, method, points_per_axis):
     block on every plane.  The float arithmetic of each Gram is the same, so
     the results must be equal, not merely close."""
     from phasespec.core import GaussianState, _overlap_factors
-    from phasespec.densities import _plane_offsets
+    from phasespec.densities import _plane_offset
     from phasespec.quadrature import _BLOCK_POINTS, _trapezoid_weights, plane_axes
 
     d, h, K = state.dim, state.h, state.n_branches
@@ -195,11 +197,11 @@ def tensor_grid_every_row(state, observable, method, points_per_axis):
             Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
             w = np.outer(w_q[rows], w_p).ravel()
             V = _overlap_factors(plane, Q, P)
-            Z = _plane_offsets(plane, Q, P, V)[0]
+            Z = _plane_offset(plane, Q, P, V, 0)
             for t, f in enumerate([None] + [factors[j] for _, factors in terms]):
                 wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
-                I0[t, j] += (V.T * wf) @ V.conj()
-                Ib[t, j] += 2.0 * h * ((Z.T * wf) @ Z.conj())
+                I0[t, j] += (V * wf) @ V.conj().T
+                Ib[t, j] += 2.0 * h * ((Z * wf) @ Z.conj().T)
 
     def combine(i0, ib):
         prod_all = np.prod(i0, axis=0)
@@ -253,10 +255,10 @@ def whole_chunk_estimate(state, observables, method, n, source, split=0.5, exact
     ``estimate_expectation`` by a whole-chunk pass: each chunk's samples are
     assembled at once and every observable is evaluated on the whole chunk,
     then the chunk sums go through the same reduction tree and moments.
-    The quantile transforms are the module's own."""
+    The quantile transforms and the exact-policy weights are the module's
+    own."""
     from phasespec import sampling
     from phasespec.core import state_norm2
-    from phasespec.densities import hermite_mixture_many, husimi_many
 
     d, h = state.dim, state.h
     sqrt_h = np.sqrt(h)
@@ -286,16 +288,12 @@ def whole_chunk_estimate(state, observables, method, n, source, split=0.5, exact
     def chunk_sums(component, s, e):
         Q, P = assemble(component, source.uniform_block(s, e - s))
         if exact:
-            if component == "husimi":
-                target, proposal = husimi_many(state, Q, P), sampling._proposal_husimi(state, Q, P)
-            else:
-                target, proposal = hermite_mixture_many(state, Q, P), sampling._proposal_hermite(state, Q, P)
-            denom = proposal * state_norm2(state)
+            weights = sampling._importance_weights(state, component, Q, P, state_norm2(state))
         out = []
         for obs in observables:
             vals = obs.evaluate(Q, P)
             if exact:
-                vals = vals * target / denom
+                vals = vals * weights
             out.append((e - s, np.sum(vals), np.sum(vals * vals)))
         return np.array(out)
 
@@ -327,6 +325,43 @@ def whole_chunk_estimate(state, observables, method, n, source, split=0.5, exact
         stderr = 0.0 if source.deterministic else float(np.sqrt(variance))
         results.append((float(value), stderr, float(mean_h), None if mean_s is None else float(mean_s)))
     return results
+
+
+def _proposal_husimi(state: GaussianState, Q, P) -> np.ndarray:
+    """Branch-mixture proposal pdf for the Husimi component."""
+    h, d = state.h, state.dim
+    probs = _branch_probabilities(state)
+    dq = Q[:, None, :] - state.centers_q[None, :, :]
+    dp = P[:, None, :] - state.centers_p[None, :, :]
+    r2 = np.sum(dq * dq + dp * dp, axis=-1)
+    dens = (2.0 * np.pi * h) ** (-d) * np.exp(-r2 / (2.0 * h))
+    return dens @ probs
+
+
+def _proposal_hermite(state: GaussianState, Q, P) -> np.ndarray:
+    """Branch-mixture proposal pdf for the Hermite-mixture component."""
+    h, d = state.h, state.dim
+    probs = _branch_probabilities(state)
+    dq = Q[:, None, :] - state.centers_q[None, :, :]
+    dp = P[:, None, :] - state.centers_p[None, :, :]
+    plane_r2 = dq * dq + dp * dp
+    r2 = np.sum(plane_r2, axis=-1)
+    radial = np.mean(plane_r2, axis=-1) / (2.0 * h)
+    dens = (2.0 * np.pi * h) ** (-d) * radial * np.exp(-r2 / (2.0 * h))
+    return dens @ probs
+
+
+def proposal_ratio_weights(state, component, Q, P):
+    """Exact-policy weights as the literal ratio exact density / (branch-mixture
+    proposal pdf * state norm), both densities at full (2 pi h)^-d scale."""
+    from phasespec.core import state_norm2
+    from phasespec.densities import hermite_mixture_many, husimi_many
+
+    if component == "husimi":
+        target, proposal = husimi_many(state, Q, P), _proposal_husimi(state, Q, P)
+    else:
+        target, proposal = hermite_mixture_many(state, Q, P), _proposal_hermite(state, Q, P)
+    return target / (proposal * state_norm2(state))
 
 
 def mu_single_branch_many(center_q, center_p, h: float, Q, P) -> np.ndarray:

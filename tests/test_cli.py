@@ -1,4 +1,7 @@
 import json
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +36,18 @@ class TestDensitySectionCommand:
         assert len(rows) == 50
         assert "config_json" in meta
         assert float(rows[0][1]) == pytest.approx(1 / (np.pi * 0.1), rel=1e-15)
+
+    def test_oversized_section_exits_3_before_allocating(self, capsys):
+        # 10^13 points would need 80 TB per column; the guard refuses first
+        tracemalloc.start()
+        try:
+            code = main(["density-section", "--n-points", str(10**13)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "resource guard" in capsys.readouterr().err
+        assert peak < 10**6
 
     def test_stdout_output(self, capsys):
         code = main(["density-section", "--n-points", "5"])
@@ -151,8 +166,9 @@ class TestExpectationCommand:
     @pytest.mark.parametrize(
         "config",
         [
-            # the exact moment reference of x^400 overflows a float
-            {"observable_polynomial": [[1.0, [400, 0]]], "d": 1, "n": 1000},
+            # the exact moment of x^400 at h = 1, 399!! / 2^200 ~ 1e373,
+            # overflows a float
+            {"observable_polynomial": [[1.0, [400, 0]]], "d": 1, "h": 1.0, "n": 1000},
             # the marginal grid's margin is below an ulp of 1e300: the grid
             # collapses to one point and its normalization is 0
             {"observable": "torsional", "d": 2, "n": 1000, "branches": [{"q": [1e300, 0], "p": [0, 0]}]},
@@ -164,6 +180,17 @@ class TestExpectationCommand:
         with np.errstate(all="ignore"):
             assert main(["expectation", "--config", str(path)]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_high_moment_reference_is_exact(self, tmp_path, capsys):
+        # E[x^400] = 399!! (h/2)^200 ~ 3.1e-27 at h = 0.01 is finite, although
+        # the integer 399!! and the power (h/2)^200 both leave the float range
+        path = tmp_path / "x400.json"
+        path.write_text(json.dumps({"observable_polynomial": [[1.0, [400, 0]]], "d": 1, "n": 1000}))
+        with np.errstate(all="ignore"):
+            assert main(["expectation", "--config", str(path)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("reference:"))
+        exact = Fraction(math.prod(range(1, 400, 2))) * (Fraction(0.01) / 2) ** 200
+        assert float(line.split()[1]) == pytest.approx(float(exact), rel=1e-12)
 
     def test_collapsed_sweep_grid_exits_4(self, capsys):
         # at h = 1e-300 the marginal grid's margin is below an ulp of the

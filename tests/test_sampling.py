@@ -30,9 +30,9 @@ from phasespec.observables import (
     torsional_potential,
 )
 from phasespec.quadrature import tensor_grid_expectation
-from phasespec.sampling import CHUNK_SIZE, _component_arrays, _first_primes, ndtri
+from phasespec.sampling import CHUNK_SIZE, _component_arrays, _first_primes, _importance_weights, ndtri
 
-from _oracles import halton_digit_loop, whole_chunk_estimate
+from _oracles import halton_digit_loop, proposal_ratio_weights, whole_chunk_estimate
 
 
 def exact_radical_inverse(index, base):
@@ -591,6 +591,51 @@ class TestEstimator:
         A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
         with pytest.raises(ValueError):
             estimate_expectation(st, A, n=100, source=PointSource(dimension=3, seed=0))
+
+
+class TestImportanceWeights:
+    """The one-table exact-policy weights against the literal ratio of the
+    exact density to the branch-mixture proposal pdf times the norm."""
+
+    COMPONENTS = ("husimi", "hermite-mixture")
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        K=strategies.integers(1, 4),
+        d=strategies.integers(1, 3),
+        h=strategies.floats(0.01, 1.0),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_equal_proposal_ratio(self, K, d, h, seed):
+        rng = np.random.default_rng(seed)
+        st = GaussianState(
+            h,
+            rng.normal(size=K) + 1j * rng.normal(size=K),
+            rng.normal(size=(K, d)),
+            rng.normal(size=(K, d)),
+        )
+        u = rng.uniform(2.0**-54, 1.0, size=(256, 2 * d + 2))
+        for component in self.COMPONENTS:
+            Q, P, _, _ = _component_arrays(st, component, u)
+            got = _importance_weights(st, component, Q, P, state_norm2(st))
+            want = proposal_ratio_weights(st, component, Q, P)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_finite_far_from_every_branch(self):
+        # every overlap underflows at q = 50, so the literal ratio is 0/0;
+        # the nearest branch's weight |c_k|^2 / p_k / norm remains
+        st = GaussianState.from_branches(
+            0.01, [(1.0, PhasePoint([-1.0], [0.0])), (0.6j, PhasePoint([1.0], [0.2]))]
+        )
+        Q, P = np.array([[50.0]]), np.array([[0.3]])
+        norm = state_norm2(st)
+        expected = np.sum(np.abs(st.coefficients) ** 2) / norm
+        for component in self.COMPONENTS:
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(proposal_ratio_weights(st, component, Q, P)).all()
+            got = _importance_weights(st, component, Q, P, norm)
+            assert np.isfinite(got).all()
+            assert got[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestInputBounds:
