@@ -7,8 +7,8 @@ of two probability densities.  Expectations against mu are exact for
 polynomial symbols of degree <= 3 and second-order accurate in the width
 parameter h for smooth observables, while remaining sampleable from
 non-negative component densities; this package provides the densities, exact
-and grid-based reference expectations, deterministic (pseudo-random and
-Halton) sampling estimators, and a CLI for the benchmark experiments.
+reference expectations, tensor-grid quadrature, deterministic (pseudo-random
+and Halton) sampling estimators, and a CLI for the benchmark experiments.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ from .observables import (
     henon_heiles_total,
     observable_from_label,
     quartic_momentum,
-    reference_expectation_grid,
     torsional_potential,
     weyl_expectation_gaussian,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "henon_heiles_energy",
     "henon_heiles_total",
     "weyl_expectation_gaussian",
-    "reference_expectation_grid",
     "observable_from_label",
     "PointSource",
     "EstimatorResult",

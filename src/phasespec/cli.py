@@ -60,7 +60,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h-list", default=None, help="comma-separated h values for sweeps")
     parser.add_argument("--d-list", default=None, help="comma-separated dimensions for henon-heiles")
     parser.add_argument("--points-per-axis", type=int, default=None, help="tensor-grid resolution")
-    parser.add_argument("--reference-resolution", type=int, default=None, help="marginal reference grid points per axis")
     parser.add_argument("--n-points", type=int, default=None, help="density-section radial points")
     parser.add_argument("--max-radius", type=float, default=None, help="density-section maximum radius")
     parser.add_argument("--threshold", type=float, default=None, help="cross-term neglect threshold")
@@ -137,7 +136,6 @@ def main(argv=None) -> int:
                 kwargs["sampler_config"] = config
             table = run_accuracy_sweep(
                 points_per_axis=config.points_per_axis,
-                reference_resolution=config.reference_resolution,
                 force=config.force,
                 **kwargs,
             )
@@ -162,8 +160,7 @@ def main(argv=None) -> int:
             _emit(table, config, extra_meta={"stderr_is_estimate": not result.deterministic})
             print(f"estimate: {result.value:.16e}")
             print(f"stderr: {result.stderr:.16e}" + ("  (deterministic sampler)" if result.deterministic else ""))
-            if reference is not None:
-                print(f"reference: {reference:.16e}")
+            print(f"reference: {reference:.16e}")
             print(f"seed: {config.seed}")
             print(f"generator: {result.generator}")
             print(f"version: {__version__}")

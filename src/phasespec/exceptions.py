@@ -12,7 +12,7 @@ class NonNegligibleCrossTermsError(ValueError):
     interfere above the cross-term threshold.
 
     The neglect policy is only valid for well separated branches.  Use the
-    exact policy (importance-weighted estimation, d <= 3) or increase the
+    exact policy (importance-weighted estimation, at any d) or increase the
     branch separation.
     """
 

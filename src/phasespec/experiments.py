@@ -35,7 +35,6 @@ from .observables import (
     henon_heiles_total,
     observable_from_label,
     observable_from_polynomial_records,
-    reference_expectation_grid,
     weyl_expectation_gaussian,
 )
 from .quadrature import tensor_grid_expectation
@@ -71,15 +70,6 @@ DEFAULT_D_LIST = (2, 8, 32)
 # and medians of six estimates each, measured 4.1-6.0e-7, 1.07-1.33e-6 and
 # 3.35-3.87e-6 s per sample: projected / measured 0.88-1.27, 0.82-1.03 and
 # 0.88-1.02, so the constants fit both samplers.
-# A marginal-grid reference with K branches and T observable terms costs, per
-# point of each of its d axes, GRID_COST_PER_AXIS_POINT_SECONDS x K for the
-# wavepacket table plus GRID_COST_PER_GRAM_ENTRY_SECONDS x K^2 x (T + 1) for
-# its T + 1 extended-precision K x K Gram matrices (one integrates the
-# constant 1), and per axis point GRID_COST_PER_TERM_POINT_SECONDS x T for the
-# term factors.  Fitted to timings on the same host for d = 1..3,
-# K = 1, 2, 3, 4, 6, 8, T = 1, 3, 7 and resolution 2**16 (K <= 4 also 2**18):
-# projected / measured 0.63-1.27, lowest at K = 8 (0.63-0.76), where the Gram
-# products grow faster than K^2.
 # A shared tensor-grid call walks points_per_axis^2 points on each of the d
 # planes.  Per plane point it costs TENSOR_COST_PER_BRANCH_POINT_SECONDS x K
 # for the K overlap and offset columns, and per computed Gram row (row 0 plus
@@ -91,9 +81,6 @@ DEFAULT_D_LIST = (2, 8, 32)
 # calls, where the per-call overhead the model leaves out is lowest.
 SAMPLE_COST_SECONDS = 3.3e-7
 SAMPLE_COST_PER_DIM_SECONDS = 9.6e-8
-GRID_COST_PER_AXIS_POINT_SECONDS = 7.2e-8
-GRID_COST_PER_GRAM_ENTRY_SECONDS = 3.5e-8
-GRID_COST_PER_TERM_POINT_SECONDS = 9.4e-8
 TENSOR_COST_PER_BRANCH_POINT_SECONDS = 1.4e-7
 TENSOR_COST_PER_ROW_POINT_SECONDS = 4.0e-8
 TENSOR_COST_PER_GRAM_ENTRY_SECONDS = 2.5e-9
@@ -146,7 +133,6 @@ class RunConfig:
     d_list: Optional[list] = None
     alpha: float = 1.8436
     points_per_axis: int = 160
-    reference_resolution: int = 2048
     n_points: int = 400
     max_radius: Optional[float] = None
     threshold: float = 1e-14
@@ -252,18 +238,6 @@ def projected_seconds(n: int, d: int) -> float:
     return float(n) * (SAMPLE_COST_SECONDS + d * SAMPLE_COST_PER_DIM_SECONDS)
 
 
-def _projected_grid_seconds(resolution: int, state: GaussianState, n_terms: int) -> float:
-    """Cost-model projection of one marginal-grid reference of an observable
-    with n_terms plane terms: resolution points on each of the d axes, each
-    evaluating the K branch factors and adding to n_terms + 1 K x K Gram
-    matrices, and each evaluating the term factors."""
-    K = state.n_branches
-    per_axis_point = (
-        GRID_COST_PER_AXIS_POINT_SECONDS * K + GRID_COST_PER_GRAM_ENTRY_SECONDS * K * K * (n_terms + 1)
-    )
-    return float(resolution) * (state.dim * per_axis_point + GRID_COST_PER_TERM_POINT_SECONDS * n_terms)
-
-
 def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, observables) -> float:
     """Cost-model projection of one shared tensor-grid call over the
     observables: points_per_axis^2 points on each of the d planes, each
@@ -277,6 +251,12 @@ def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, o
 def check_resource_budget(n: int, d_values, force: bool) -> float:
     total = sum(projected_seconds(n, d) for d in np.atleast_1d(d_values))
     return _require_budget(total, force)
+
+
+def _require_dim(d: int) -> None:
+    """Refuse an ``expectation`` state dimension outside 1..128 (henon-heiles runs 2..128)."""
+    if not 1 <= d <= 128:
+        raise ValueError(f"expectation needs a state dimension in 1..128, got d={d}")
 
 
 def _require_grid(name: str, size: int) -> None:
@@ -399,15 +379,12 @@ def run_density_section(
     return SweepResult(columns=["radius", "wigner", "husimi", "mu"], rows=rows, metadata=meta)
 
 
-_SIDE_FOR = {"q": "position", "p": "momentum"}
-
-
 def run_accuracy_sweep(
     h_list=DEFAULT_H_LIST,
     methods=("mu", "husimi"),
     observable_labels=("torsional", "quartic-momentum"),
     points_per_axis: int = 160,
-    reference_resolution: int = 2048,
+    reference_resolution: int = 2048,  # accepted and ignored: a benchmark self-test still passes it
     use_sampler: bool = False,
     sampler_config: RunConfig | None = None,
     force: bool = False,
@@ -417,11 +394,11 @@ def run_accuracy_sweep(
     observable).
 
     Estimates use full tensor-grid quadrature (interference included); the
-    reference is the exact marginal-density quadrature.  Slopes are reported
-    only for at least two distinct h and when every error in the fit exceeds
-    10x the estimated quadrature (or sampling) noise floor.  The projected
-    cost of the references (and of the sampled estimates) is checked against
-    the resource budget first.
+    reference is the exact :func:`weyl_expectation_gaussian`.  Slopes are
+    reported only for at least two distinct h and when every error in the fit
+    exceeds 10x the estimated quadrature (or sampling) noise floor.  The
+    projected cost of the quadrature (or of the sampled estimates) is checked
+    against the resource budget first.
     """
     h_list = _checked_entries(h_list, (int, float, np.integer, np.floating), "real numbers", "h_list")
     h_list = sorted({float(h) for h in h_list}, reverse=True)
@@ -442,12 +419,10 @@ def run_accuracy_sweep(
     # mode makes one tensor-grid call per h for every (method, observable)
     n_streams = len(methods) if use_sampler else 0
     projected = sum(
-        sum(_projected_grid_seconds(reference_resolution, st, len(A.plane_terms() or ())) for A in obs)
-        + n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
+        n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
         + (0.0 if use_sampler else _projected_tensor_grid_seconds(points_per_axis, st, obs))
         for st, obs in zip(states, observable_sets)
     )
-    _require_grid("reference_resolution", reference_resolution)
     if not use_sampler:
         _require_grid("points_per_axis", points_per_axis)
     _require_budget(projected, force)
@@ -455,16 +430,7 @@ def run_accuracy_sweep(
     errors: dict[tuple, list] = {}
     floors_ok: dict[tuple, bool] = {}
     for h, state, observables in zip(h_list, states, observable_sets):
-        refs = {}
-        for A in observables:
-            side = _SIDE_FOR.get(A.depends_on())
-            if side is None:
-                raise ValueError(
-                    f"observable {A.label!r} is not one-sided; no grid reference available"
-                )
-            refs[A.label] = reference_expectation_grid(
-                state, A, side, resolution=reference_resolution
-            )
+        refs = {A.label: weyl_expectation_gaussian(A, state) for A in observables}
         if not use_sampler:
             # one shared plane walk per h for every (method, observable)
             t0 = time.perf_counter()
@@ -599,21 +565,17 @@ def run_henon_heiles(
     return result
 
 
-def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float], SweepResult]:
-    """Single expectation estimate with reference value when one is exactly
-    or accurately computable."""
+def run_expectation(config: RunConfig) -> tuple[EstimatorResult, float, SweepResult]:
+    """Single expectation estimate with its exact reference value.
+
+    A state dimension outside 1..128 is refused before the observable is
+    built, and a ``d`` outside it before the state is built."""
+    _require_dim(config.d)
     state = resolve_state(config)
+    _require_dim(state.dim)
     A = resolve_observable(config, state.dim)
     n = config.resolved_n()
-    exact_reference = A.polynomial is not None
-    side = None if exact_reference or state.dim > 3 else _SIDE_FOR.get(A.depends_on())
-    grid_seconds = 0.0
-    if side is not None:
-        _require_grid("reference_resolution", config.reference_resolution)
-        grid_seconds = _projected_grid_seconds(
-            config.reference_resolution, state, len(A.plane_terms() or ())
-        )
-    _require_budget(projected_seconds(n, state.dim) + grid_seconds, config.force)
+    _require_budget(projected_seconds(n, state.dim), config.force)
     source = config.point_source(2 * state.dim + 2)
     policy = CrossTermPolicy(mode="neglect", threshold=config.threshold)
     result = estimate_expectation(
@@ -626,15 +588,9 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, Optional[float]
         policy=policy,
         workers=config.workers,
     )
-    reference = None
-    if exact_reference:
-        reference = weyl_expectation_gaussian(A, state)
-    elif side is not None:
-        reference = reference_expectation_grid(
-            state, A, side, resolution=config.reference_resolution
-        )
-    abs_err = None if reference is None else abs(result.value - reference)
-    rel_err = None if reference in (None, 0.0) else abs_err / abs(reference)
+    reference = weyl_expectation_gaussian(A, state)
+    abs_err = abs(result.value - reference)
+    rel_err = None if reference == 0.0 else abs_err / abs(reference)
     rows = [
         (
             A.label,

@@ -1,35 +1,27 @@
-"""Phase-space observables A(z) and reference expectation values.
+"""Phase-space observables A(z) and exact expectation values.
 
 An :class:`Observable` bundles a vectorized evaluator with an optional
-sparse polynomial representation over the 2d phase-space variables
-(q_1..q_d, p_1..p_d).  Polynomial observables admit exact expectation values
-against any Gaussian superposition through one-dimensional normal moments
-(:func:`weyl_expectation_gaussian`): under the Wigner calculus each branch
-pair (k, l) makes every phase coordinate an independent normal with the
-pair's complex mean M_kl and variance h/2 (a single wavepacket: its center).
-
-For observables that depend on position only or momentum only,
-:func:`reference_expectation_grid` integrates against the exact marginal
-density of the state (|psi(x)|^2, or |psi_hat(xi)|^2 via the closed-form
-momentum-space wavepackets), including all branch interference.  Every
-branch wavefunction and every term of the observable's per-plane
-decomposition factor over the coordinates, so the trapezoid sum over the
-resolution**d marginal grid is assembled from one K x K Gram matrix per axis
-and term; it equals the literal pointwise sum up to rounding.
+sparse symbol over the 2d phase-space variables (q_1..q_d, p_1..p_d): a sum
+of terms coeff * prod_i x_i^e_i cos(w_i x_i), where a frequency w_i = 0
+leaves variable i without a cosine.  Such symbols admit exact expectation
+values against any Gaussian superposition through one-dimensional normal
+moments (:func:`weyl_expectation_gaussian`): under the Wigner calculus each
+branch pair (k, l) makes every phase coordinate an independent normal with
+the pair's complex mean M_kl and variance h/2 (a single wavepacket: its
+center).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import comb, exp, log
+from math import comb, exp, isfinite, log
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import GaussianState, _pair_terms, state_norm2, validate_h
-from .exceptions import ResourceGuardError
-from .quadrature import _trapezoid_weights
 
 __all__ = [
     "PolynomialSymbol",
@@ -40,8 +32,6 @@ __all__ = [
     "henon_heiles_energy",
     "henon_heiles_total",
     "weyl_expectation_gaussian",
-    "reference_expectation_grid",
-    "momentum_space_state",
     "observable_from_label",
     "observable_from_polynomial_records",
     "OBSERVABLE_LABELS",
@@ -72,37 +62,87 @@ def _normal_moment(mean, var: float, e: int):
     return total
 
 
+def _cosine_moment(mean, var: float, e: int, w: float):
+    """E[X^e cos(w X)] for X ~ N(mean, var), with cos(w X) written as the
+    mean of exp(+-i w X): shifting the Gaussian by i s w var gives
+    (1/2) sum_{s = +-1} exp(i s w mean - w^2 var / 2) E[(mean + i s w var + sqrt(var) Z)^e]."""
+    if not w:
+        return _normal_moment(mean, var, e)
+    return 0.5 * sum(
+        np.exp(1j * s * w * mean - w * w * var / 2.0) * _normal_moment(mean + 1j * s * w * var, var, e)
+        for s in (1.0, -1.0)
+    )
+
+
+def _times_factor(out, x, e: int, w: float):
+    """out * x^e cos(w x), skipping the power for e = 0 and the cosine for w = 0."""
+    if e:
+        out = out * x**e
+    if w:
+        out = out * np.cos(w * x)
+    return out
+
+
+def _plane_factor(a: int, wa: float, b: int, wb: float):
+    """The plane factor q^a cos(wa q) p^b cos(wb p) on meshgrid arrays."""
+
+    def factor(QQ, PP):
+        return _times_factor(_times_factor(np.ones_like(QQ), QQ, a, wa), PP, b, wb)
+
+    return factor
+
+
+def _active(exps, freqs):
+    """Indices of the variables a term depends on (nonzero exponent or
+    frequency), in increasing order."""
+    return compress(range(len(exps)), map(add, exps, freqs) if any(freqs) else exps)
+
+
+def _term_order(item):
+    """Canonical term order: by exponents, then by the (variable, frequency)
+    pairs of the cosine factors, so a term without cosines comes first."""
+    (exps, freqs), _ = item
+    return exps, tuple(compress(enumerate(freqs), freqs)) if any(freqs) else ()
+
+
 @dataclass(frozen=True)
 class PolynomialSymbol:
-    """Sparse polynomial over the 2d phase variables (q_1..q_d, p_1..p_d).
+    """Sparse symbol over the 2d phase variables (q_1..q_d, p_1..p_d).
 
-    ``terms`` is a sequence of (coefficient, exponents) pairs where
-    ``exponents`` has length 2d with non-negative integer entries.  Terms are
-    canonicalized on construction: duplicates merged, zero coefficients
-    dropped, and exponent tuples sorted.
+    ``terms`` is a sequence of (coefficient, exponents) or (coefficient,
+    exponents, frequencies) records; exponents are 2d non-negative integers
+    and frequencies 2d finite reals, a term being
+    coeff * prod_i x_i^e_i cos(w_i x_i) (w_i = 0: no cosine).  Terms are
+    canonicalized on construction into (coefficient, exponents, frequencies)
+    triples: frequencies made non-negative (cos is even), duplicates merged,
+    zero coefficients dropped, and terms sorted (see :func:`_term_order`).
     """
 
     terms: tuple
 
     def __post_init__(self):
-        merged: dict[tuple[int, ...], float] = {}
-        width = None
-        for coeff, exps in self.terms:
-            exps = tuple(int(e) for e in exps)
-            if any(e < 0 for e in exps):
+        merged: dict[tuple, float] = {}
+        width = zero = None
+        for term in self.terms:
+            coeff, exps, freqs = term if len(term) == 3 else (*term, ())
+            exps = tuple(map(int, exps))
+            if min(exps, default=0) < 0:
                 raise ValueError("exponents must be non-negative integers")
             if width is None:
-                width = len(exps)
+                width, zero = len(exps), (0.0,) * len(exps)
             elif len(exps) != width:
                 raise ValueError("all terms must share the same number of variables")
-            merged[exps] = merged.get(exps, 0.0) + float(coeff)
+            freqs = tuple(abs(float(w)) for w in freqs) or zero
+            if len(freqs) != width or not all(map(isfinite, freqs)):
+                raise ValueError("cosine frequencies must be finite, one per variable")
+            merged[exps, freqs] = merged.get((exps, freqs), 0.0) + float(coeff)
         if width is None or width % 2 != 0 or width == 0:
             raise ValueError("terms must cover an even, positive number of variables (2d)")
         canon = tuple(
-            (c, e) for e, c in sorted(merged.items()) if c != 0.0
+            (c, e, w) for (e, w), c in sorted(merged.items(), key=_term_order) if c != 0.0
         )
         if not canon:
-            canon = ((0.0, (0,) * width),)
+            canon = ((0.0, (0,) * width, (0.0,) * width),)
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "_width", width)
 
@@ -115,33 +155,18 @@ class PolynomialSymbol:
         return self._width // 2
 
     def degree(self) -> int:
-        return max(sum(e) for _, e in self.terms)
-
-    def depends_on(self) -> str:
-        """'q', 'p', 'both', or 'const' according to which variables appear."""
-        d = self.dim
-        has_q = any(any(e[:d]) for _, e in self.terms)
-        has_p = any(any(e[d:]) for _, e in self.terms)
-        if has_q and has_p:
-            return "both"
-        if has_q:
-            return "q"
-        if has_p:
-            return "p"
-        return "const"
+        """Largest total exponent of a term (cosine factors not counted)."""
+        return max(sum(e) for _, e, _ in self.terms)
 
     def evaluate(self, Q, P) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         P = np.atleast_2d(np.asarray(P, dtype=float))
         d = self.dim
         out = np.zeros(Q.shape[0])
-        for coeff, exps in self.terms:
+        for coeff, exps, freqs in self.terms:
             term = np.full(Q.shape[0], coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                col = Q[:, i] if i < d else P[:, i - d]
-                term = term * col**e
+            for i in _active(exps, freqs):
+                term = _times_factor(term, Q[:, i] if i < d else P[:, i - d], exps[i], freqs[i])
             out += term
         return out
 
@@ -159,28 +184,13 @@ class PolynomialSymbol:
         """
         d = self.dim
         out = []
-        for coeff, exps in self.terms:
+        for coeff, exps, freqs in self.terms:
             factors = []
             for j in range(d):
-                a, b = exps[j], exps[d + j]
-                if a == 0 and b == 0:
-                    factors.append(None)
-                else:
-                    factors.append(_monomial_factor(a, b))
+                a, wa, b, wb = exps[j], freqs[j], exps[d + j], freqs[d + j]
+                factors.append(_plane_factor(a, wa, b, wb) if a or wa or b or wb else None)
             out.append((coeff, tuple(factors)))
         return out
-
-
-def _monomial_factor(a: int, b: int):
-    def factor(QQ, PP, a=a, b=b):
-        out = np.ones_like(QQ)
-        if a:
-            out = out * QQ**a
-        if b:
-            out = out * PP**b
-        return out
-
-    return factor
 
 
 @dataclass(frozen=True)
@@ -194,14 +204,9 @@ class Observable:
     fn : callable
         Vectorized evaluator mapping (Q, P) arrays of shape (m, d) to (m,).
     polynomial : PolynomialSymbol, optional
-        Sparse polynomial representation; when present it must agree with
-        ``fn`` (checked in the tests).
-    plane_terms_fn : callable, optional
-        Override returning the per-plane separable decomposition used by the
-        tensor-grid quadrature; polynomial observables derive one
-        automatically.
-    side : str, optional
-        'q', 'p', 'both', or 'const'; derived from the polynomial if absent.
+        Sparse symbol; when present it must agree with ``fn`` (checked in
+        the tests), and it gives the exact reference and the tensor-grid
+        plane factors.
     parts : tuple of Observable, optional
         Summands of a sum observable; ``fn`` must be the left-to-right sum
         of the parts' ``fn`` values.  ``estimate_expectation`` evaluates
@@ -213,8 +218,6 @@ class Observable:
     label: str
     fn: Callable
     polynomial: Optional[PolynomialSymbol] = None
-    plane_terms_fn: Optional[Callable] = None
-    side: Optional[str] = None
     parts: tuple = ()
 
     def evaluate(self, Q, P) -> np.ndarray:
@@ -222,20 +225,9 @@ class Observable:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         return np.asarray(self.fn(Q, P), dtype=float)
 
-    def depends_on(self) -> str:
-        if self.side is not None:
-            return self.side
-        if self.polynomial is not None:
-            return self.polynomial.depends_on()
-        return "both"
-
     def plane_terms(self):
         """Per-plane separable decomposition, or None when unavailable."""
-        if self.plane_terms_fn is not None:
-            return self.plane_terms_fn()
-        if self.polynomial is not None:
-            return self.polynomial.plane_terms()
-        return None
+        return None if self.polynomial is None else self.polynomial.plane_terms()
 
 
 def torsional_potential(d: int) -> Observable:
@@ -246,16 +238,13 @@ def torsional_potential(d: int) -> Observable:
     def fn(Q, P):
         return 2.0 - np.cos(Q[:, 0]) - np.cos(Q[:, 1])
 
-    def plane_terms():
-        cos_q = lambda QQ, PP: np.cos(QQ)
-        terms = [(2.0, (None,) * d)]
-        for j in range(2):
-            factors = [None] * d
-            factors[j] = cos_q
-            terms.append((-1.0, tuple(factors)))
-        return terms
-
-    return Observable("torsional", fn, plane_terms_fn=plane_terms, side="q")
+    zeros = (0,) * (2 * d)
+    terms = [(2.0, zeros)]
+    for j in range(2):
+        freqs = [0.0] * (2 * d)
+        freqs[j] = 1.0
+        terms.append((-1.0, zeros, tuple(freqs)))
+    return Observable("torsional", fn, polynomial=PolynomialSymbol(tuple(terms)))
 
 
 def quartic_momentum(d: int) -> Observable:
@@ -360,154 +349,34 @@ def henon_heiles_total(spec: HenonHeilesSpec) -> Observable:
 
 
 def weyl_expectation_gaussian(A, state: GaussianState) -> float:
-    """Exact normalized expectation <psi|A^w|psi> / <psi|psi> of a polynomial
-    symbol against a superposition.
+    """Exact normalized expectation <psi|A^w|psi> / <psi|psi> of a symbol
+    against a superposition.
 
     Each branch pair (k, l) of :func:`~phasespec.core._pair_terms`
     integrates A against a Gaussian whose phase coordinates are independent
-    N(M_kl, h/2) variables with complex means, so each monomial reduces to a
-    product of one-dimensional normal moments; the pairs are summed with
-    their weights W_kl.
+    N(M_kl, h/2) variables with complex means, so each term reduces to a
+    product of one-dimensional moments E[X^e cos(w X)]; the pairs are summed
+    with their weights W_kl.
     """
     poly = A.polynomial if isinstance(A, Observable) else A
     if not isinstance(poly, PolynomialSymbol):
-        raise ValueError("weyl_expectation_gaussian requires a polynomial observable")
+        raise ValueError("weyl_expectation_gaussian requires an observable with a symbol")
     if poly.dim != state.dim:
         raise ValueError("observable and state dimensions differ")
     C, L, M = _pair_terms(state)
     var = state.h / 2.0
     total = np.zeros(C.size, dtype=complex)
-    # moments[(i, e)] = E[X_i^e]; terms share most of their factors
-    moments: dict[tuple[int, int], np.ndarray] = {}
-    for coeff, exps in poly.terms:
+    # moments[(i, e, w)] = E[X_i^e cos(w X_i)]; terms share most of their factors
+    moments: dict[tuple[int, int, float], np.ndarray] = {}
+    for coeff, exps, freqs in poly.terms:
         prod = coeff
-        for i, e in compress(enumerate(exps), exps):
-            if (i, e) not in moments:
-                moments[i, e] = _normal_moment(M[:, i], var, e)
-            prod = prod * moments[i, e]
+        for i in _active(exps, freqs):
+            key = (i, exps[i], freqs[i])
+            if key not in moments:
+                moments[key] = _cosine_moment(M[:, i], var, *key[1:])
+            prod = prod * moments[key]
         total += prod
     return float(((C * np.exp(L)) @ total).real / state_norm2(state))
-
-
-def _wavepacket_columns(state: GaussianState, X: np.ndarray) -> np.ndarray:
-    """G[i, k] = g_{z_k}(X[i]), the unit wavepacket of branch k at the points
-    X of shape (m, d)."""
-    h, d = state.h, state.dim
-    q, p = state.centers_q[None, :, :], state.centers_p[None, :, :]
-    dq = X[:, None, :] - q
-    phase = np.sum((X[:, None, :] - 0.5 * q) * p, axis=-1)
-    return (np.pi * h) ** (-d / 4.0) * np.exp(-np.sum(dq * dq, axis=-1) / (2.0 * h) + 1j * phase / h)
-
-
-def momentum_space_state(state: GaussianState) -> GaussianState:
-    """The state whose position wavefunction is the h-scaled Fourier transform
-    of ``state``.
-
-    Under the transform psi_hat(xi) = (2 pi h)^{-d/2} integral psi(x)
-    e^{-i xi.x / h} dx, each branch maps to a wavepacket with center
-    (q, p) -> (p, -q) and an unchanged coefficient; validated against an FFT
-    oracle in the tests.
-    """
-    return GaussianState(
-        state.h, state.coefficients.copy(), state.centers_p.copy(), -state.centers_q.copy()
-    )
-
-
-def _marginal_axes(state: GaussianState, centers: np.ndarray, resolution: int):
-    """Per-axis grids over the center hull plus 12 marginal standard deviations."""
-    pad = 12.0 * np.sqrt(state.h / 2.0)
-    axes = []
-    for i in range(state.dim):
-        lo = centers[:, i].min() - pad
-        hi = centers[:, i].max() + pad
-        axes.append(np.linspace(lo, hi, resolution))
-    return axes
-
-
-def reference_expectation_grid(
-    state: GaussianState,
-    A: Observable,
-    side: str,
-    resolution: int = 2048,
-    normalized: bool = True,
-) -> float:
-    """Expectation of a one-sided observable by marginal-density grid
-    quadrature.
-
-    ``side='position'`` integrates A(q) |psi(q)|^2 over the exact position
-    density of the superposition (interference included); ``side='momentum'``
-    does the same with the closed-form momentum-space wavefunction.  By
-    default returns integral(A rho) / integral(rho), which removes the
-    residual quadrature error of the normalization; ``normalized=False``
-    returns the raw integral(A rho), whose value for A = 1 is the state norm
-    <psi|psi>.
-
-    The sum is the trapezoid rule on the ``resolution**d`` tensor grid of
-    :func:`_marginal_axes`, but the grid is never formed: every branch
-    wavefunction factors over the coordinates, and so does each term of
-    ``A.plane_terms()`` (a term's factor evaluated at (x, 0) on the position
-    side and at (0, x) on the momentum side).  With G_i[x, k] the axis-i
-    factor of branch k, trapezoid weights w_i and term factors f_ti, the sum
-    is
-
-        sum_t coeff_t  c @ (prod_i (G_i.T * w_i f_ti) @ conj(G_i)) @ conj(c),
-
-    the product taken elementwise over the K x K per-axis Gram matrices.  It
-    equals the literal pointwise trapezoid sum up to rounding.  Observables
-    without ``plane_terms`` are refused.
-
-    The one-sided marginal construction (d-dimensional grids instead of a
-    2d-dimensional phase-space grid) is this library's own reference design;
-    it is exact because the marginal densities are known in closed form.
-    """
-    if side not in ("position", "momentum"):
-        raise ValueError("side must be 'position' or 'momentum'")
-    dep = A.depends_on()
-    if dep == "both" or (dep == "q" and side == "momentum") or (dep == "p" and side == "position"):
-        raise ValueError(
-            f"observable {A.label!r} depends on {dep!r}; not supported by the "
-            f"{side}-side marginal reference"
-        )
-    d = state.dim
-    if d > 3:
-        raise ResourceGuardError(
-            f"marginal grid reference supports d <= 3, got d={d}"
-        )
-    terms = A.plane_terms()
-    if terms is None:
-        raise ValueError(
-            f"observable {A.label!r} has no per-axis decomposition; the marginal "
-            "reference needs a polynomial or plane_terms_fn"
-        )
-    if any(len(factors) != d for _, factors in terms):
-        raise ValueError("observable and state dimensions differ")
-    work = state if side == "position" else momentum_space_state(state)
-    K = work.n_branches
-    # Gram stacks [row, i, k, l]: row 0 integrates the constant 1, row 1 + t
-    # the axis-i factor of term t.  Sums and products run in extended
-    # precision (80-bit on x86-64) because the terms of A may cancel: in
-    # double precision the reference of 2 - cos q_1 - cos q_2 near its
-    # minimum kept only 13 correct digits.
-    grams = np.empty((len(terms) + 1, d, K, K), dtype=np.clongdouble)
-    for i, x in enumerate(_marginal_axes(work, work.centers_q, resolution)):
-        w = _trapezoid_weights(x).astype(np.longdouble)
-        # unit coefficients: the real ones may give this axis zero norm
-        axis_state = GaussianState(
-            work.h, np.ones(K), work.centers_q[:, i : i + 1], work.centers_p[:, i : i + 1]
-        )
-        G = _wavepacket_columns(axis_state, x[:, None]).astype(np.clongdouble)
-        args = (x, np.zeros_like(x)) if side == "position" else (np.zeros_like(x), x)
-        for row, f in enumerate([None] + [factors[i] for _, factors in terms]):
-            wf = w if f is None else w * np.asarray(f(*args), dtype=float)
-            grams[row, i] = (G.T * wf) @ G.conj()
-
-    # pair[row, k, l] = sum over the grid of w f psi_k conj(psi_l)
-    pair = np.prod(grams, axis=1)
-    coeffs = np.array([coeff for coeff, _ in terms])
-    c = work.coefficients
-    num = float((c @ np.tensordot(coeffs, pair[1:], axes=1) @ c.conj()).real)
-    den = float((c @ pair[0] @ c.conj()).real)
-    return num / den if normalized else num
 
 
 OBSERVABLE_LABELS = ("torsional", "quartic-momentum", "hh-kinetic", "hh-potential", "hh-total")

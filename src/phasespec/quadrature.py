@@ -18,8 +18,8 @@ and Z = zeta_j V, the plane integrals over every pair (k, l) are Gram matrices:
     sum_i w f G_klj = (V * w f) @ conj(V).T,
     sum_i w f beta_klj G_klj = 2h (Z * w f) @ conj(Z).T.
 
-When the observable is itself a sum of per-plane factors (every polynomial
-is, and so are the named trigonometric observables), the full tensor-grid
+When the observable is itself a sum of per-plane factors (every symbol
+term coeff * prod_i x_i^e_i cos(w_i x_i) is), the full tensor-grid
 sum collapses exactly into products of 2-dimensional plane integrals: the
 result equals the direct sum over the (points_per_axis)^(2d) grid, evaluated
 without materializing it; the test suite checks it against that literal
@@ -90,8 +90,8 @@ def _observable_terms(observable, d: int):
     terms = observable.plane_terms()
     if terms is None:
         raise ValueError(
-            f"observable {observable.label!r} has no per-plane decomposition; "
-            "tensor-grid quadrature needs a polynomial or plane_terms_fn"
+            f"observable {observable.label!r} has no symbol; tensor-grid quadrature "
+            "needs one for its per-plane decomposition"
         )
     if any(len(factors) != d for _, factors in terms):
         raise ValueError("observable and state dimensions differ")

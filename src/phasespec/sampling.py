@@ -373,7 +373,7 @@ def _require_negligible(state: GaussianState, policy: CrossTermPolicy) -> None:
             f"cross terms non-negligible: max pair damping {worst:.3e} >= "
             f"threshold {policy.threshold:.3e}; branch-mixture sampling would "
             "be biased.  Use CrossTermPolicy(mode='exact') for importance-"
-            "weighted estimation (d <= 3) or separate the branches."
+            "weighted estimation or separate the branches."
         )
 
 
@@ -543,7 +543,7 @@ def estimate_expectation(
     Under the default neglect policy the estimate is normalized by the
     branch weight total, which equals the state norm up to the policy's
     guaranteed-negligible cross terms, so A = 1 yields exactly 1.  Under
-    ``CrossTermPolicy(mode='exact')`` (d <= 3) every sample is importance
+    ``CrossTermPolicy(mode='exact')`` (at any d) every sample is importance
     weighted by exact-density / proposal and the estimate is normalized by
     the exact state norm, which keeps small-separation superpositions
     unbiased.
@@ -571,11 +571,6 @@ def estimate_expectation(
 
     exact_mode = policy.mode == "exact"
     if exact_mode:
-        if d > 3:
-            raise ValueError(
-                "exact-policy importance weighting is a d <= 3 diagnostic; "
-                "use the neglect policy for high dimensions"
-            )
         norm = state_norm2(state)
     else:
         _require_negligible(state, policy)

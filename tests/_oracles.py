@@ -129,10 +129,10 @@ def fd_laplacian(fn, coords, step=1e-3):
 
 
 def marginal_reference_slabs(state, A, side, resolution, normalized=True):
-    """Literal trapezoid sum of A |psi|^2 over the resolution**d marginal grid
-    that ``reference_expectation_grid`` uses (each axis spans the branch
-    centers plus 12 sqrt(h/2)), walked one slab of fixed first coordinate at a
-    time.
+    """Literal trapezoid sum of A |psi|^2 over a resolution**d marginal grid
+    (each axis spans the branch centers plus 12 sqrt(h/2)), walked one slab
+    of fixed first coordinate at a time: an independent reference for
+    observables of position only or momentum only.
 
     ``side='momentum'`` uses the momentum-space wavefunction, whose branch
     (q, p) is the wavepacket centered at (p, -q).  A is evaluated at (x, 0) on

@@ -1,10 +1,13 @@
+import io
 import json
 import math
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from phasespec.cli import main
 from phasespec.experiments import benchmark_superposition
@@ -169,9 +172,6 @@ class TestExpectationCommand:
             # the exact moment of x^400 at h = 1, 399!! / 2^200 ~ 1e373,
             # overflows a float
             {"observable_polynomial": [[1.0, [400, 0]]], "d": 1, "h": 1.0, "n": 1000},
-            # the marginal grid's margin is below an ulp of 1e300: the grid
-            # collapses to one point and its normalization is 0
-            {"observable": "torsional", "d": 2, "n": 1000, "branches": [{"q": [1e300, 0], "p": [0, 0]}]},
         ],
     )
     def test_arithmetic_failure_exits_4(self, config, tmp_path, capsys):
@@ -193,10 +193,8 @@ class TestExpectationCommand:
         assert float(line.split()[1]) == pytest.approx(float(exact), rel=1e-12)
 
     def test_collapsed_sweep_grid_exits_4(self, capsys):
-        # at h = 1e-300 the marginal grid's margin is below an ulp of the
-        # centres, so a collapsed axis gives a zero normalization
-        argv = ["accuracy-sweep", "--h-list", "1e-300,1e-301", "--points-per-axis", "4",
-                "--reference-resolution", "4"]
+        # at h = 1e-300 the tensor grid's (2 pi h)^-d prefactor overflows
+        argv = ["accuracy-sweep", "--h-list", "1e-300,1e-301", "--points-per-axis", "4"]
         with np.errstate(all="ignore"):
             assert main(argv) == 4
         assert "numerical failure" in capsys.readouterr().err
@@ -266,8 +264,6 @@ class TestSweepCommands:
                 "0.1,0.01",
                 "--points-per-axis",
                 "50",
-                "--reference-resolution",
-                "512",
                 "--out",
                 str(out),
             ]
@@ -289,8 +285,6 @@ class TestSweepCommands:
                 "halton",
                 "--n",
                 "20000",
-                "--reference-resolution",
-                "512",
                 "--out",
                 str(out),
             ]
@@ -332,40 +326,40 @@ class TestInputBoundsCommand:
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
-class TestGridReferenceGuard:
-    """The marginal-grid reference is projected before any work starts."""
-
-    def test_expectation_d3_grid_reference_exits_3(self, capsys):
-        code = main(["expectation", "--observable", "torsional", "--d", "3",
-                     "--reference-resolution", "1000000000"])
-        assert code == 3
-        assert "resource guard" in capsys.readouterr().err
-
-    def test_accuracy_sweep_oversized_reference_exits_3(self, capsys):
-        code = main(["accuracy-sweep", "--reference-resolution", "1000000000"])
-        assert code == 3
-        assert "resource guard" in capsys.readouterr().err
-
+class TestGuardBeforeWork:
     def test_accuracy_sweep_oversized_tensor_grid_exits_3(self, monkeypatch, capsys):
         import phasespec.experiments as experiments
 
         def fail(*args, **kwargs):
             raise AssertionError("work started before the guard refused the sweep")
 
-        for name in ("reference_expectation_grid", "tensor_grid_expectation"):
+        for name in ("weyl_expectation_gaussian", "tensor_grid_expectation"):
             monkeypatch.setattr(experiments, name, fail)
         code = main(["accuracy-sweep", "--points-per-axis", "20000", "--h-list", "0.1,0.01"])
         assert code == 3
         assert "resource guard" in capsys.readouterr().err
 
 
-    def test_expectation_d3_grid_reference_runs(self, capsys):
-        code = main(["expectation", "--observable", "torsional", "--d", "3", "--n", "1000"])
+class TestExactReferenceCommand:
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_torsional_reference_at_any_d(self, d, capsys):
+        code = main(["expectation", "--observable", "torsional", "--d", str(d), "--n", "1000"])
         assert code == 0
         out = capsys.readouterr().out
         reference = float(next(ln for ln in out.splitlines() if ln.startswith("reference:")).split()[1])
         # origin wavepacket, default h = 0.01: E[cos q_j] = e^{-h/4}
-        assert reference == pytest.approx(2.0 - 2.0 * np.exp(-0.01 / 4.0), abs=1e-12)
+        assert reference == pytest.approx(2.0 - 2.0 * np.exp(-0.01 / 4.0), rel=1e-15)
+
+    def test_dimension_above_128_exits_2_before_observable(self, monkeypatch, capsys):
+        import phasespec.experiments as experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the observable was built before the dimension was refused")
+
+        monkeypatch.setattr(experiments, "resolve_observable", fail)
+        assert main(["expectation", "--observable", "quartic-momentum", "--d", "129"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1..128" in err
 
 
 class TestGridSizeRefusedFirst:
@@ -379,7 +373,7 @@ class TestGridSizeRefusedFirst:
         def fail(*args, **kwargs):
             raise AssertionError("work started before the grid sizes were checked")
 
-        for name in ("estimate_expectation", "reference_expectation_grid", "tensor_grid_expectation"):
+        for name in ("estimate_expectation", "weyl_expectation_gaussian", "tensor_grid_expectation"):
             monkeypatch.setattr(experiments, name, fail)
 
     @pytest.mark.parametrize(
@@ -387,9 +381,6 @@ class TestGridSizeRefusedFirst:
         [
             ["accuracy-sweep", "--points-per-axis", "1"],
             ["accuracy-sweep", "--points-per-axis", "0"],
-            ["accuracy-sweep", "--reference-resolution", "1"],
-            ["accuracy-sweep", "--sampler", "mc", "--reference-resolution", "0"],
-            ["expectation", "--observable", "torsional", "--d", "2", "--reference-resolution", "0"],
         ],
     )
     def test_exit_2_before_any_work(self, no_work, argv, capsys):
@@ -397,11 +388,22 @@ class TestGridSizeRefusedFirst:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_unused_reference_resolution_not_checked(self, capsys):
-        # hh-total on a single wavepacket has an exact moment reference
-        code = main(["expectation", "--observable", "hh-total", "--n", "1000", "--reference-resolution", "0"])
-        assert code == 0
-        assert "reference:" in capsys.readouterr().out
+
+class TestRemovedReferenceResolution:
+    """The marginal-grid setting is gone: its flag and its config key exit 2."""
+
+    @pytest.mark.parametrize("command", ["expectation", "accuracy-sweep"])
+    def test_flag_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--observable", "torsional", "--reference-resolution", "512"])
+        assert exit_info.value.code == 2
+        assert "--reference-resolution" in capsys.readouterr().err
+
+    def test_config_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"observable": "torsional", "n": 1000, "reference_resolution": 2048}))
+        assert main(["expectation", "--config", str(path)]) == 2
+        assert "reference_resolution" in capsys.readouterr().err
 
 
 class TestConfigValueTypes:
@@ -430,20 +432,16 @@ class TestConfigEntries:
             assert err.startswith("error:") and "Traceback" not in err, cfg
 
     def test_bad_grids_and_lists_exit_2(self, tmp_path, capsys):
-        small = ["--h-list", "0.1", "--points-per-axis", "20", "--reference-resolution", "64"]
+        small = ["--h-list", "0.1", "--points-per-axis", "20"]
         cases = [
             ["accuracy-sweep", *small, "--points-per-axis", "1"],
             ["accuracy-sweep", *small, "--points-per-axis", "0"],
-            ["accuracy-sweep", *small, "--reference-resolution", "1"],
-            ["expectation", "--observable", "torsional", "--d", "2", "--n", "1000",
-             "--reference-resolution", "0"],
             ["henon-heiles", "--d-list", ",", "--n", "100"],
         ]
         for i, cfg in enumerate(({"h_list": [0.1, None]}, {"h_list": [True]}, {"h_list": []})):
             path = tmp_path / f"lists{i}.json"
             path.write_text(json.dumps(cfg))
-            cases.append(["accuracy-sweep", "--config", str(path), "--points-per-axis", "20",
-                          "--reference-resolution", "64"])
+            cases.append(["accuracy-sweep", "--config", str(path), "--points-per-axis", "20"])
         path = tmp_path / "empty_d.json"
         path.write_text(json.dumps({"d_list": [], "n": 100}))
         cases.append(["henon-heiles", "--config", str(path)])
@@ -451,3 +449,95 @@ class TestConfigEntries:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+def _fuzz_float():
+    return strategies.one_of(
+        strategies.floats(-2.0, 2.0),
+        strategies.sampled_from([0.0, 1e-300, 1e300, -1e-3, 1e-3, 0.5]),
+        strategies.floats(allow_nan=True, allow_infinity=True),
+    )
+
+
+def _wrong_type():
+    return strategies.one_of(
+        strategies.none(), strategies.booleans(), strategies.text(max_size=3),
+        strategies.lists(strategies.integers(0, 2), max_size=2), strategies.just({"x": 1}),
+        strategies.floats(-3.0, 3.0), strategies.integers(-3, 3),
+    )
+
+
+@strategies.composite
+def _fuzz_branch(draw):
+    d = draw(strategies.integers(0, 4))
+    coords = strategies.lists(_fuzz_float(), min_size=d, max_size=d)
+    rec = {"q": draw(coords), "p": draw(coords)}
+    if draw(strategies.booleans()):
+        rec["coeff"] = draw(strategies.one_of(_fuzz_float(), strategies.lists(_fuzz_float(), min_size=2, max_size=2)))
+    return rec
+
+
+@strategies.composite
+def _fuzz_record(draw):
+    width = draw(strategies.integers(0, 8))
+    return [draw(_fuzz_float()), draw(strategies.lists(strategies.integers(0, 6), min_size=width, max_size=width))]
+
+
+# Right-typed values of every RunConfig field an ``expectation`` run reads,
+# bounded so that no draw starts a large run or many threads.  ``out`` is
+# never drawn: the run writes its CSV to stdout.
+_FUZZ_FIELDS = {
+    "h": _fuzz_float(),
+    "d": strategies.integers(-1, 4),
+    "n": strategies.integers(-2, 4096),
+    "sampler": strategies.sampled_from(["mc", "halton", "sobol"]),
+    "seed": strategies.one_of(strategies.integers(-2, 2**64 + 2), strategies.just(0)),
+    "skip": strategies.one_of(strategies.integers(-2, 10**4), strategies.just(2**62)),
+    "leap": strategies.one_of(strategies.integers(-1, 10**6), strategies.just(2**62)),
+    "split": _fuzz_float(),
+    "method": strategies.sampled_from(["mu", "husimi", "wigner"]),
+    "observable": strategies.sampled_from(["torsional", "quartic-momentum", "hh-kinetic", "hh-total", "nope"]),
+    "force": strategies.booleans(),
+    "state": strategies.sampled_from(["origin", "superposition-2d", "henon-heiles", "squeezed"]),
+    "branches": strategies.lists(_fuzz_branch(), max_size=3),
+    "observable_polynomial": strategies.lists(_fuzz_record(), max_size=3),
+    "alpha": _fuzz_float(),
+    "threshold": _fuzz_float(),
+    "workers": strategies.integers(-1, 4),
+    "points_per_axis": strategies.integers(-1, 200),
+    "n_points": strategies.integers(-1, 500),
+    "h_list": strategies.lists(_fuzz_float(), max_size=3),
+    "d_list": strategies.lists(strategies.integers(-1, 200), max_size=3),
+    "max_radius": _fuzz_float(),
+}
+
+
+@strategies.composite
+def _fuzz_config(draw):
+    """An observable (label or inline polynomial) plus up to 8 other fields,
+    each right-typed in 4 of 5 draws, and in 1 of 10 an unknown key."""
+    config = {}
+    first = draw(strategies.sampled_from(["observable", "observable_polynomial"]))
+    others = strategies.sampled_from(sorted(set(_FUZZ_FIELDS) - {first}))
+    for key in [first] + draw(strategies.lists(others, max_size=8, unique=True)):
+        right = draw(strategies.sampled_from([True, True, True, True, False]))
+        config[key] = draw(_FUZZ_FIELDS[key] if right or key in ("n", "d", "workers") else _wrong_type())
+    if draw(strategies.sampled_from([False] * 9 + [True])):
+        config[draw(strategies.sampled_from(["reference_resolution", "resolution", "D"]))] = 2048
+    return config
+
+
+class TestFuzzedConfig:
+    """Any JSON config file ends an ``expectation`` run with a documented
+    exit code, never a traceback."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=_fuzz_config())
+    def test_exit_code_is_documented(self, config, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with np.errstate(all="ignore"), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["expectation", "--config", str(path)])
+        assert code in (0, 2, 3, 4), config
+        assert "Traceback" not in err.getvalue(), config

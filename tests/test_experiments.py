@@ -3,16 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from phasespec import GaussianState, PhasePoint, state_norm2
 from phasespec.exceptions import ResourceGuardError
 from phasespec.experiments import (
     DEFAULT_H_LIST,
-    GRID_COST_PER_TERM_POINT_SECONDS,
     TENSOR_COST_PER_GRAM_ENTRY_SECONDS,
     TENSOR_COST_PER_ROW_POINT_SECONDS,
     TIME_BUDGET_SECONDS,
     RunConfig,
-    _projected_grid_seconds,
     _projected_tensor_grid_seconds,
     base_metadata,
     benchmark_superposition,
@@ -62,7 +59,6 @@ class TestAccuracySweep:
         res = run_accuracy_sweep(
             h_list=(0.1, 0.01),
             points_per_axis=60,
-            reference_resolution=512,
         )
         hs = res.column("h")
         assert hs == sorted(hs, reverse=True)[: len(hs)]
@@ -86,7 +82,6 @@ class TestAccuracySweep:
             methods=("mu",),
             observable_labels=("torsional", control),
             points_per_axis=120,
-            reference_resolution=1024,
         )
         for row in res.rows:
             if row[2] == "polynomial":
@@ -98,25 +93,22 @@ class TestAccuracySweep:
         with pytest.raises(ValueError):
             run_accuracy_sweep(h_list=(0.1, -0.5))
 
-    def test_mixed_observable_refused_before_quadrature(self, monkeypatch):
-        import phasespec.experiments as experiments
-        from phasespec.observables import observable_from_polynomial_records
+    def test_mixed_observable_gets_closed_form_reference(self):
+        # q_1 p_1 mixes position and momentum: its reference is the closed form
+        from phasespec.observables import observable_from_polynomial_records, weyl_expectation_gaussian
 
-        def fail(*args, **kwargs):
-            raise AssertionError("the tensor grid ran before the observable was refused")
+        def mixed(d):
+            return observable_from_polynomial_records([[1.0, [1, 0, 1, 0]]], d)
 
-        monkeypatch.setattr(experiments, "tensor_grid_expectation", fail)
-        with pytest.raises(ValueError, match="not one-sided"):
-            run_accuracy_sweep(
-                h_list=(0.1,),
-                observable_labels=(lambda d: observable_from_polynomial_records([[1.0, [1, 0, 1, 0]]], d),),
-                points_per_axis=40,
-                reference_resolution=64,
-            )
+        res = run_accuracy_sweep(h_list=(0.1,), methods=("mu",), observable_labels=(mixed,), points_per_axis=40)
+        (row,) = res.rows
+        assert row[4] == weyl_expectation_gaussian(mixed(2), benchmark_superposition(0.1))
+        # degree 2: the mu estimate is exact up to the quadrature floor
+        assert row[5] < 1e-9
 
     @pytest.mark.parametrize("h_list", [(0.1,), (0.1, 0.1)])
     def test_single_h_reports_no_slope(self, h_list):
-        res = run_accuracy_sweep(h_list=h_list, points_per_axis=40, reference_resolution=256)
+        res = run_accuracy_sweep(h_list=h_list, points_per_axis=40)
         assert len(res.rows) == 4
         assert res.slopes and all(slope is None for slope in res.slopes.values())
 
@@ -159,44 +151,6 @@ class TestHenonHeiles:
             run_henon_heiles(d_list=(1,), n=100)
         with pytest.raises(ValueError):
             run_henon_heiles(d_list=(256,), n=100)
-
-
-class TestGridCostModel:
-    """The marginal-reference projection charges K^2 Gram entries per term."""
-
-    @staticmethod
-    def state(K, d):
-        return GaussianState.from_branches(
-            0.05, [(1.0, PhasePoint([4.0 * k] * d, [0.0] * d)) for k in range(K)]
-        )
-
-    def test_extra_term_costs_grow_as_k_squared(self):
-        one, four = self.state(1, 2), self.state(4, 2)
-        assert _projected_grid_seconds(2000, four, 3) == pytest.approx(
-            2 * _projected_grid_seconds(1000, four, 3)
-        )
-
-        def term_step(st):
-            # one more term: its K x K Gram entries on each axis, plus its factor
-            step = _projected_grid_seconds(1000, st, 4) - _projected_grid_seconds(1000, st, 3)
-            return step - 1000 * GRID_COST_PER_TERM_POINT_SECONDS
-
-        assert term_step(four) == pytest.approx(16 * term_step(one))
-
-    @pytest.mark.parametrize(
-        "d, K, terms, resolution, measured",
-        [
-            # reference_expectation_grid timings (min of 3, 2-core Xeon host)
-            (3, 1, 3, 2**17, 0.106),
-            (2, 2, 3, 2**17, 0.196),
-            (3, 4, 7, 2**18, 3.96),
-            (3, 8, 7, 2**16, 5.24),
-        ],
-    )
-    def test_projection_tracks_measured_references(self, d, K, terms, resolution, measured):
-        # the model linear in K projected 1.9 s for the K = 8 case
-        ratio = _projected_grid_seconds(resolution, self.state(K, d), terms) / measured
-        assert 0.5 < ratio < 2.0
 
 
 class TestRunExpectation:
@@ -252,6 +206,36 @@ class TestRunExpectation:
         config = RunConfig(experiment="expectation", observable="hh-total", d=64, n=10**9)
         with pytest.raises(ResourceGuardError):
             run_expectation(config)
+
+    @pytest.mark.parametrize(
+        "config, unbuilt",
+        [
+            # a preset's d is refused before its state is built
+            (RunConfig(observable="quartic-momentum", d=129), ("resolve_state", "resolve_observable")),
+            (RunConfig(observable="quartic-momentum", d=0), ("resolve_state", "resolve_observable")),
+            (
+                RunConfig(observable="quartic-momentum", branches=[{"q": [0.0] * 129, "p": [0.0] * 129}]),
+                ("resolve_observable",),
+            ),
+        ],
+        ids=["d129", "d0", "branches129"],
+    )
+    def test_dimension_bound_before_observable(self, config, unbuilt, monkeypatch):
+        import phasespec.experiments as experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the dimension was refused")
+
+        for name in unbuilt:
+            monkeypatch.setattr(experiments, name, fail)
+        with pytest.raises(ValueError, match="1..128"):
+            run_expectation(config)
+
+    def test_exact_reference_at_any_d(self):
+        # the torsional potential has a closed-form reference at d = 8 too
+        config = RunConfig(observable="torsional", d=8, n=4000)
+        _, reference, _ = run_expectation(config)
+        assert reference == pytest.approx(2.0 - 2.0 * np.exp(-0.01 / 4.0), rel=1e-15)
 
 
 class TestStateResolution:
@@ -360,7 +344,7 @@ class TestSharedEstimates:
 
         cfg = RunConfig(sampler="mc", n=4000, seed=3)
         res = run_accuracy_sweep(
-            h_list=(0.1,), reference_resolution=256, use_sampler=True, sampler_config=cfg
+            h_list=(0.1,), use_sampler=True, sampler_config=cfg
         )
         state = benchmark_superposition(0.1)
         for i, (method, label, estimate) in enumerate(
@@ -386,7 +370,7 @@ class TestSharedEstimates:
             return original(state, observable, method, points_per_axis)
 
         monkeypatch.setattr(quadrature, "tensor_grid_integrals", counting)
-        res = run_accuracy_sweep(h_list=(0.1, 0.01), points_per_axis=40, reference_resolution=256)
+        res = run_accuracy_sweep(h_list=(0.1, 0.01), points_per_axis=40)
         assert calls == [0.1, 0.01]
         monkeypatch.undo()
         for h, method, label, estimate in zip(
@@ -455,7 +439,7 @@ class TestConfigEntries:
         ]))
         assert st.coefficients.tolist() == [1.0, 1j]
         A = resolve_observable(RunConfig(observable_polynomial=[[2, [1, 0, 0, 0]]]), 2)
-        assert A.polynomial.terms == ((2.0, (1, 0, 0, 0)),)
+        assert A.polynomial.terms == ((2.0, (1, 0, 0, 0), (0.0,) * 4),)
 
     def test_non_integer_d_list_refused(self):
         for d_list in ([2.5], [2.0], ["2"], [True]):

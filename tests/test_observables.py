@@ -11,15 +11,13 @@ from phasespec import (
     henon_heiles_energy,
     henon_heiles_total,
     quartic_momentum,
-    reference_expectation_grid,
     state_norm2,
     torsional_potential,
     weyl_expectation_gaussian,
 )
-from phasespec.exceptions import ResourceGuardError
-from _oracles import marginal_reference_slabs, superposition_1d
+from _oracles import marginal_reference_slabs
 from phasespec.observables import (
-    momentum_space_state,
+    _cosine_moment,
     observable_from_label,
     observable_from_polynomial_records,
 )
@@ -45,27 +43,44 @@ def random_polynomial(rng, d, max_degree=3, n_terms=5):
 class TestPolynomialSymbol:
     def test_canonicalization_merges_and_drops(self):
         poly = PolynomialSymbol(((1.0, (1, 0)), (2.0, (1, 0)), (3.0, (0, 2)), (-3.0, (0, 2))))
-        assert poly.terms == ((3.0, (1, 0)),)
+        assert poly.terms == ((3.0, (1, 0), (0.0, 0.0)),)
 
-    def test_degree_and_depends(self):
+    def test_degree(self):
         poly = PolynomialSymbol(((1.0, (2, 0, 1, 0)), (0.5, (0, 0, 0, 3))))
         assert poly.degree() == 3
-        assert poly.depends_on() == "both"
-        assert PolynomialSymbol(((1.0, (2, 0, 0, 0)),)).depends_on() == "q"
-        assert PolynomialSymbol(((1.0, (0, 0, 0, 4)),)).depends_on() == "p"
-        assert PolynomialSymbol(((1.0, (0, 0)),)).depends_on() == "const"
 
     def test_addition(self):
         a = PolynomialSymbol(((1.0, (1, 0)),))
         b = PolynomialSymbol(((2.0, (1, 0)), (1.0, (0, 1))))
         # canonical order sorts by exponent tuple
-        assert (a + b).terms == ((1.0, (0, 1)), (3.0, (1, 0)))
+        assert (a + b).terms == ((1.0, (0, 1), (0.0, 0.0)), (3.0, (1, 0), (0.0, 0.0)))
+
+    def test_cosine_terms(self):
+        # frequencies are canonicalized to |w|, merged with equal terms, and
+        # ordered after the term with the same exponents and no cosine
+        poly = PolynomialSymbol(
+            ((1.0, (0, 0, 0, 0), (0.0, 2.0, 0.0, 0.0)), (1.0, (0, 0, 0, 0)),
+             (0.5, (0, 0, 0, 0), (0.0, -2.0, 0.0, 0.0)), (1.0, (0, 0, 0, 0), (1.0, 0.0, 0.0, 0.0)))
+        )
+        assert poly.terms == (
+            (1.0, (0, 0, 0, 0), (0.0, 0.0, 0.0, 0.0)),
+            (1.0, (0, 0, 0, 0), (1.0, 0.0, 0.0, 0.0)),
+            (1.5, (0, 0, 0, 0), (0.0, 2.0, 0.0, 0.0)),
+        )
+        q = np.array([[0.3, -0.7]])
+        assert poly.evaluate(q, [[0.1, 0.2]])[0] == pytest.approx(1.0 + np.cos(0.3) + 1.5 * np.cos(1.4), rel=1e-15)
+        mixed = PolynomialSymbol(((2.0, (1, 0, 0, 3), (0.0, 0.0, 0.0, 0.5)),))
+        assert mixed.evaluate(q, [[0.1, 0.2]])[0] == pytest.approx(2.0 * 0.3 * 0.2**3 * np.cos(0.1), rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PolynomialSymbol(((1.0, (-1, 0)),))
         with pytest.raises(ValueError):
             PolynomialSymbol(((1.0, (1, 0, 0)),))  # odd variable count
+        with pytest.raises(ValueError, match="frequencies"):
+            PolynomialSymbol(((1.0, (1, 0), (1.0,)),))
+        with pytest.raises(ValueError, match="frequencies"):
+            PolynomialSymbol(((1.0, (1, 0), (np.inf, 0.0)),))
 
 
 @strategies.composite
@@ -100,11 +115,11 @@ class TestPolynomialCanonicalProperty:
         a_terms = data.draw(raw_terms(d))
         b_terms = data.draw(raw_terms(d))
         a, b = PolynomialSymbol(tuple(a_terms)), PolynomialSymbol(tuple(b_terms))
-        zero = ((0.0, (0,) * (2 * d)),)
+        zero = ((0.0, (0,) * (2 * d), (0.0,) * (2 * d)),)
         for poly in (a, b, a + b):
-            exps = [e for _, e in poly.terms]
+            exps = [e for _, e, _ in poly.terms]
             assert exps == sorted(set(exps))
-            assert poly.terms == zero or all(c != 0.0 for c, _ in poly.terms)
+            assert poly.terms == zero or all(c != 0.0 for c, _, _ in poly.terms)
             assert PolynomialSymbol(poly.terms) == poly
         rng = np.random.default_rng(seed)
         Q, P = rng.uniform(-1.5, 1.5, size=(2, 20, d))
@@ -123,7 +138,7 @@ class TestNamedObservables:
         assert at(A, [0.0, 0.0], [0.0, 0.0]) == pytest.approx(0.0, abs=0)
         assert at(A, [np.pi, np.pi], [0.0, 0.0]) == pytest.approx(4.0)
         assert at(A, [np.pi / 2, 0.0], [1.0, 2.0]) == pytest.approx(1.0)
-        assert A.polynomial is None
+        assert [f for _, _, f in A.polynomial.terms] == [(0.0,) * 4, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)]
         with pytest.raises(ValueError):
             torsional_potential(1)
 
@@ -158,6 +173,7 @@ class TestNamedObservables:
             lambda: henon_heiles_energy(HenonHeilesSpec(d=4))[0],
             lambda: henon_heiles_energy(HenonHeilesSpec(d=4))[1],
             lambda: henon_heiles_total(HenonHeilesSpec(d=3)),
+            lambda: torsional_potential(3),
         ):
             A = build()
             d = A.polynomial.dim
@@ -234,72 +250,59 @@ class TestWeylExpectation:
         shuffled = PolynomialSymbol(tuple(reversed(a.terms)))
         assert weyl_expectation_gaussian(shuffled, st) == weyl_expectation_gaussian(a, st)
 
-    def test_non_polynomial_rejected(self):
+    def test_observable_without_symbol_rejected(self):
         st = GaussianState.wavepacket(0.05, [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            weyl_expectation_gaussian(torsional_potential(2), st)
+            weyl_expectation_gaussian(Observable("abs-q1", lambda Q, P: np.abs(Q[:, 0])), st)
 
 
-def branches_1d(state):
-    """(coeff, q, p) triples of a d = 1 state, for ``superposition_1d``."""
-    return [(c, q[0], p[0]) for c, q, p in zip(state.coefficients, state.centers_q, state.centers_p)]
+class TestCosineMoments:
+    @pytest.mark.parametrize("e", range(5))
+    @pytest.mark.parametrize("w", [0.7, 3.0])
+    @pytest.mark.parametrize("mean", [0.4, -1.3 + 0.6j, 0.2 - 0.9j])
+    def test_matches_mpmath_quadrature(self, e, w, mean):
+        # E[X^e cos(w X)] for X = mean + sqrt(var) Z, Z ~ N(0, 1), by 20-digit
+        # quadrature over Z (the integrand is entire, so a complex mean
+        # continues the real-mean moment)
+        mpmath = pytest.importorskip("mpmath")
+        var = 0.3
+        with mpmath.workdps(20):
+            m, s = mpmath.mpc(mean), mpmath.sqrt(var)
+            want = mpmath.quad(
+                lambda z: (m + s * z) ** e * mpmath.cos(w * (m + s * z)) * mpmath.npdf(z),
+                [-mpmath.inf, 0, mpmath.inf],
+            )
+        got = _cosine_moment(np.array([mean]), var, e, w)[0]
+        assert abs(got - complex(want)) <= 1e-14 * max(1.0, abs(complex(want)))
 
 
-class TestMomentumTransform:
-    def test_fft_oracle(self):
-        # psi_hat(xi) = (2 pi h)^{-1/2} integral psi(x) e^{-i xi x / h} dx,
-        # approximated by a Riemann sum on a fine grid, against the
-        # closed-form momentum-space wavepacket
-        h = 0.05
-        st = GaussianState.from_branches(
-            h, [(1.0, PhasePoint([0.4], [-0.6])), (0.5 - 0.3j, PhasePoint([-0.2], [0.3]))]
-        )
-        mst = momentum_space_state(st)
-        x = np.linspace(-12.0, 12.0, 2**16)
-        dx = x[1] - x[0]
-        psi = superposition_1d(branches_1d(st), h)(x)
-        psi_hat = superposition_1d(branches_1d(mst), h)
-        for xi in (-0.6, 0.0, 0.45):
-            direct = (2 * np.pi * h) ** -0.5 * np.sum(psi * np.exp(-1j * xi * x / h)) * dx
-            assert psi_hat(xi) == pytest.approx(direct, abs=1e-8)
-
-    def test_momentum_density_center(self):
-        st = GaussianState.wavepacket(0.1, [0.7], [1.3])
-        mst = momentum_space_state(st)
-        # |psi_hat|^2 peaks at p with the position-density peak height
-        val = abs(superposition_1d(branches_1d(mst), 0.1)(1.3)) ** 2
-        assert val == pytest.approx((np.pi * 0.1) ** -0.5, rel=1e-12)
-
-
-class TestReferenceGrid:
-    def test_constant_gives_norm(self):
+class TestClosedFormReferences:
+    def test_marginal_oracle_integrates_to_norm(self):
         h = 0.04
         st = GaussianState.from_branches(
             h, [(1.0, PhasePoint([-0.3, 0.1], [0.2, 0.0])), (0.8, PhasePoint([0.5, -0.2], [-0.1, 0.3]))]
         )
         one = observable_from_polynomial_records([[1.0, [0, 0, 0, 0]]], 2)
-        raw = reference_expectation_grid(st, one, "position", resolution=1024, normalized=False)
-        assert raw == pytest.approx(state_norm2(st), abs=1e-8)
-        raw_p = reference_expectation_grid(st, one, "momentum", resolution=1024, normalized=False)
-        assert raw_p == pytest.approx(state_norm2(st), abs=1e-8)
+        for side in ("position", "momentum"):
+            raw = marginal_reference_slabs(st, one, side, 256, normalized=False)
+            assert raw == pytest.approx(state_norm2(st), rel=1e-12)
 
     def test_torsional_small_h_concentrates(self):
         A = torsional_potential(2)
         st = GaussianState.wavepacket(1e-4, [0.0, 0.0], [0.0, 0.0])
-        val = reference_expectation_grid(st, A, "position", resolution=512)
-        assert abs(val) < 1e-3
+        assert abs(weyl_expectation_gaussian(A, st)) < 1e-3
 
-    def test_torsional_closed_form(self):
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_torsional_closed_form(self, d):
         # E[cos X] = cos(mean) e^{-var/2} with var = h/2 per coordinate
         rng = np.random.default_rng(9)
-        A = torsional_potential(2)
+        A = torsional_potential(d)
         for _ in range(3):
             h = float(rng.uniform(0.02, 0.2))
-            q = rng.normal(size=2)
-            st = GaussianState.wavepacket(h, q, rng.normal(size=2))
+            q = rng.normal(size=d)
+            st = GaussianState.wavepacket(h, q, rng.normal(size=d))
             expected = 2.0 - np.exp(-h / 4.0) * (np.cos(q[0]) + np.cos(q[1]))
-            val = reference_expectation_grid(st, A, "position")
-            assert val == pytest.approx(expected, abs=1e-8)
+            assert weyl_expectation_gaussian(A, st) == pytest.approx(expected, abs=1e-15)
 
     def test_momentum_side_second_moment(self):
         # momentum-only |p|^2 equals sum p_j^2 + d h / 2 for single branches
@@ -309,37 +312,18 @@ class TestReferenceGrid:
         A = observable_from_polynomial_records(
             [[1.0, [0, 0, 2, 0]], [1.0, [0, 0, 0, 2]]], 2
         )
-        val = reference_expectation_grid(st, A, "momentum")
-        assert val == pytest.approx(np.sum(p**2) + 2 * h / 2.0, abs=1e-8)
+        assert weyl_expectation_gaussian(A, st) == pytest.approx(np.sum(p**2) + 2 * h / 2.0, rel=1e-15)
 
     def test_superposition_interference_matters(self):
-        # dropping the interference must change the answer; the exact grid
-        # reference picks it up
+        # the two branches' means of q are -0.4 and 0.4, so without the
+        # interference E[q] would be 0
         h = 0.1
         z1, z2 = PhasePoint([-0.4], [0.5]), PhasePoint([0.4], [-0.2])
         st = GaussianState.from_branches(h, [(1.0, z1), (1.0, z2)])
         A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
-        val = reference_expectation_grid(st, A, "position")
-        # diagonal-only estimate of E[q]
-        diag = 0.0
-        assert val != pytest.approx(diag, abs=1e-4)
-
-    def test_mixed_observable_rejected(self):
-        st = GaussianState.wavepacket(0.05, [0.0, 0.0], [0.0, 0.0])
-        mixed = observable_from_polynomial_records([[1.0, [1, 0, 1, 0]]], 2)
-        with pytest.raises(ValueError):
-            reference_expectation_grid(st, mixed, "position")
-        A = torsional_potential(2)
-        with pytest.raises(ValueError):
-            reference_expectation_grid(st, A, "momentum")
-        with pytest.raises(ValueError):
-            reference_expectation_grid(st, A, "sideways")
-
-    def test_high_dimension_rejected(self):
-        st = GaussianState.wavepacket(0.05, np.zeros(4), np.zeros(4))
-        one = observable_from_polynomial_records([[1.0, [0] * 8]], 4)
-        with pytest.raises(ResourceGuardError):
-            reference_expectation_grid(st, one, "position")
+        val = weyl_expectation_gaussian(A, st)
+        assert val != pytest.approx(0.0, abs=1e-4)
+        assert val == pytest.approx(marginal_reference_slabs(st, A, "position", 512), abs=1e-13)
 
     @pytest.mark.parametrize(
         "A",
@@ -355,25 +339,25 @@ class TestReferenceGrid:
             0.1, [(1.0, PhasePoint([-1.0, 1.0], [1.0, 1.0])), (1.0, PhasePoint([0.0, 1.0], [-1.0, -0.5]))]
         )
         with pytest.raises(ValueError, match="observable and state dimensions differ"):
-            reference_expectation_grid(st, A, "position")
+            weyl_expectation_gaussian(A, st)
 
 
-class TestReferenceGridOracle:
-    """The per-axis Gram assembly equals the literal slab-by-slab trapezoid
-    sum over the same marginal grid."""
+class TestClosedFormOracle:
+    """The closed-form reference equals the literal slab-by-slab trapezoid
+    sum of A against the exact position or momentum density."""
 
+    # The 256-point axes resolve every branch-pair oscillation of these
+    # states (frequencies up to 2/h, widths sqrt(h/2)) far below 1e-14.
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         K=strategies.integers(1, 3),
         d=strategies.integers(1, 2),
         h=strategies.floats(0.01, 0.3),
-        resolution=strategies.integers(16, 256),
         side=strategies.sampled_from(["position", "momentum"]),
-        normalized=strategies.booleans(),
         torsional=strategies.booleans(),
         seed=strategies.integers(0, 2**32 - 1),
     )
-    def test_matches_slab_oracle(self, K, d, h, resolution, side, normalized, torsional, seed):
+    def test_matches_slab_oracle(self, K, d, h, side, torsional, seed):
         rng = np.random.default_rng(seed)
         branches = [
             (
@@ -398,9 +382,8 @@ class TestReferenceGridOracle:
                     exps[offset + int(rng.integers(0, d))] += 1
                 records.append([float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])), exps])
             A = observable_from_polynomial_records(records, d)
-        expected = marginal_reference_slabs(state, A, side, resolution, normalized)
+        expected = marginal_reference_slabs(state, A, side, 256)
         # the same sum with |A|, so cancellation between terms cannot hide an error
-        magnitude = Observable("abs", lambda Q, P: np.abs(A.evaluate(Q, P)), side=A.depends_on())
-        scale = marginal_reference_slabs(state, magnitude, side, resolution, normalized)
-        got = reference_expectation_grid(state, A, side, resolution=resolution, normalized=normalized)
-        assert abs(got - expected) <= 1e-12 * scale
+        magnitude = Observable("abs", lambda Q, P: np.abs(A.evaluate(Q, P)))
+        scale = marginal_reference_slabs(state, magnitude, side, 256)
+        assert abs(weyl_expectation_gaussian(A, state) - expected) <= 1e-12 * scale

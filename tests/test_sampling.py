@@ -16,7 +16,6 @@ from phasespec import (
     estimate_expectation,
     gamma2_inverse_cdf,
     halton_points,
-    reference_expectation_grid,
     state_norm2,
     weyl_expectation_gaussian,
 )
@@ -506,7 +505,7 @@ class TestEstimator:
         # smooth non-polynomial observable, single branch
         st = GaussianState.wavepacket(0.01, [0.3, 0.3], [1.0, 0.0])
         A = torsional_potential(2)
-        exact = reference_expectation_grid(st, A, "position")
+        exact = weyl_expectation_gaussian(A, st)
         errs = []
         for n in (10**3, 10**6):
             res = estimate_expectation(
@@ -559,7 +558,7 @@ class TestEstimator:
         A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
         with pytest.raises(NonNegligibleCrossTermsError):
             estimate_expectation(st, A, method="mu", n=1000)
-        exact = reference_expectation_grid(st, A, "position")
+        exact = weyl_expectation_gaussian(A, st)
         res = estimate_expectation(
             st,
             A,
@@ -580,11 +579,29 @@ class TestEstimator:
         # husimi method on a linear observable is exact in expectation
         assert abs(res_h.value - exact) < 5 * res_h.stderr
 
-    def test_exact_policy_limited_to_low_dimension(self):
-        st = GaussianState.wavepacket(0.05, np.zeros(4), np.zeros(4))
-        A = observable_from_polynomial_records([[1.0, [0] * 8]], 4)
-        with pytest.raises(ValueError):
-            estimate_expectation(st, A, policy=CrossTermPolicy(mode="exact"), n=100)
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_exact_policy_at_high_dimension(self, d):
+        # the Henon-Heiles wavepacket plus a branch 0.1 away in q_1 (pair
+        # damping 0.71): the neglect policy refuses it, the exact policy
+        # covers the closed form at every seed
+        spec = HenonHeilesSpec(d=d)
+        packet = spec.benchmark_state()
+        q = packet.centers_q[0].copy()
+        q[0] += 0.1
+        st = GaussianState.from_branches(
+            spec.h,
+            [(1.0, PhasePoint(packet.centers_q[0], packet.centers_p[0])), (0.7j, PhasePoint(q, packet.centers_p[0]))],
+        )
+        A = henon_heiles_total(spec)
+        with pytest.raises(NonNegligibleCrossTermsError):
+            estimate_expectation(st, A, n=1000)
+        exact = weyl_expectation_gaussian(A, st)
+        for seed in range(10):
+            res = estimate_expectation(
+                st, A, n=2**13, source=PointSource(dimension=2 * d + 2, seed=seed),
+                policy=CrossTermPolicy(mode="exact"),
+            )
+            assert abs(res.value - exact) < 5 * res.stderr, seed
 
     def test_source_dimension_checked(self):
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
