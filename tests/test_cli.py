@@ -347,8 +347,10 @@ class TestExactReferenceCommand:
         assert code == 0
         out = capsys.readouterr().out
         reference = float(next(ln for ln in out.splitlines() if ln.startswith("reference:")).split()[1])
-        # origin wavepacket, default h = 0.01: E[cos q_j] = e^{-h/4}
-        assert reference == pytest.approx(2.0 - 2.0 * np.exp(-0.01 / 4.0), rel=1e-15)
+        # origin wavepacket, default h = 0.01: E[cos q_j] = e^{-h/4}, so the
+        # reference is 2 - 2 e^{-h/4}, here written without cancellation; the
+        # closed form's own sum 2 - E[cos q_1] - E[cos q_2] cancels to 6.5e-15
+        assert reference == pytest.approx(-2.0 * np.expm1(-0.01 / 4.0), rel=1e-14, abs=0)
 
     def test_dimension_above_128_exits_2_before_observable(self, monkeypatch, capsys):
         import phasespec.experiments as experiments

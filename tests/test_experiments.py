@@ -232,10 +232,11 @@ class TestRunExpectation:
             run_expectation(config)
 
     def test_exact_reference_at_any_d(self):
-        # the torsional potential has a closed-form reference at d = 8 too
+        # the torsional potential has a closed-form reference at d = 8 too:
+        # 2 - 2 e^{-h/4} at the origin, written here without cancellation
         config = RunConfig(observable="torsional", d=8, n=4000)
         _, reference, _ = run_expectation(config)
-        assert reference == pytest.approx(2.0 - 2.0 * np.exp(-0.01 / 4.0), rel=1e-15)
+        assert reference == pytest.approx(-2.0 * np.expm1(-0.01 / 4.0), rel=1e-14, abs=0)
 
 
 class TestStateResolution:

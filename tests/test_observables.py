@@ -68,9 +68,9 @@ class TestPolynomialSymbol:
             (1.5, (0, 0, 0, 0), (0.0, 2.0, 0.0, 0.0)),
         )
         q = np.array([[0.3, -0.7]])
-        assert poly.evaluate(q, [[0.1, 0.2]])[0] == pytest.approx(1.0 + np.cos(0.3) + 1.5 * np.cos(1.4), rel=1e-15)
+        assert poly.evaluate(q, [[0.1, 0.2]])[0] == pytest.approx(1.0 + np.cos(0.3) + 1.5 * np.cos(1.4), rel=1e-15, abs=0)
         mixed = PolynomialSymbol(((2.0, (1, 0, 0, 3), (0.0, 0.0, 0.0, 0.5)),))
-        assert mixed.evaluate(q, [[0.1, 0.2]])[0] == pytest.approx(2.0 * 0.3 * 0.2**3 * np.cos(0.1), rel=1e-15)
+        assert mixed.evaluate(q, [[0.1, 0.2]])[0] == pytest.approx(2.0 * 0.3 * 0.2**3 * np.cos(0.1), rel=1e-15, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -312,7 +312,7 @@ class TestClosedFormReferences:
         A = observable_from_polynomial_records(
             [[1.0, [0, 0, 2, 0]], [1.0, [0, 0, 0, 2]]], 2
         )
-        assert weyl_expectation_gaussian(A, st) == pytest.approx(np.sum(p**2) + 2 * h / 2.0, rel=1e-15)
+        assert weyl_expectation_gaussian(A, st) == pytest.approx(np.sum(p**2) + 2 * h / 2.0, rel=1e-15, abs=0)
 
     def test_superposition_interference_matters(self):
         # the two branches' means of q are -0.4 and 0.4, so without the
