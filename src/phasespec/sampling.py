@@ -23,13 +23,16 @@ component and [n_husimi, n) for the Hermite component, accumulates per-chunk
 partial sums, and reduces them over a fixed pairwise tree, so results are
 bit-identical for any worker count.
 
-Each chunk's uniforms are read once; the samples are then assembled and the
-observables (and, under the exact policy, the importance weights) evaluated
-``_BLOCK_ROWS`` rows at a time, so the temporaries stay in cache; a block's
-weights come from one overlap table (``_importance_weights``).  Every
-sample depends on its own uniform row only, and the chunk sums are taken
-over the whole chunk after the last block, so the row blocking leaves the
-sums unchanged.
+The estimator streams each chunk ``_BLOCK_ROWS`` rows at a time: it reads
+a block's uniforms (every stream index once) into a workspace of its
+worker thread, assembles the samples there and evaluates the observables
+(and, under the exact policy, the importance weights, from one overlap
+table in ``_importance_weights``), so no array of a whole chunk's
+uniforms is built and the temporaries stay in cache.  A source serves any
+row range of a chunk without generating the rows before it.  Every sample
+depends on its own uniform row only, and the chunk sums are taken over the
+whole chunk after the last block, so the row blocking leaves the sums
+unchanged.
 
 Per-sample uniform coordinate layout (dimension 2d + 2):
 
@@ -48,7 +51,11 @@ offsets.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import operator
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -80,10 +87,12 @@ _BLOCK_ROWS = 2048
 # precision there.
 _GAMMA2_SERIES_U = 0.05
 _GAMMA2_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(14))
-# Largest digit-reversal table per Halton base (b^k entries), and the rows
-# halton_points converts per pass over the bases.
+# Largest digit-reversal table per Halton base (b^k entries), the rows
+# _halton_fill converts per pass over the bases, and the Halton plans kept
+# (one per chunk in flight; a chunk plan at dim 258 holds about 2.3 MiB).
 _DIGIT_TABLE_SIZE = 4096
-_HALTON_ROWS = 4096
+_HALTON_ROWS = 2048
+_HALTON_PLANS = 4
 
 
 def _first_primes(n: int) -> np.ndarray:
@@ -171,6 +180,69 @@ def _outer_sum_tables(
     return size, low, high
 
 
+@functools.lru_cache(maxsize=_HALTON_PLANS)
+def _halton_plan(dim: int, first: int, last: int, leap: int) -> tuple:
+    """Per prime base, (blocks, tables, base^K) for the Halton elements
+    first, first + leap, ..., last.
+
+    K is the digit count of ``last`` in that base, ``blocks`` its
+    ``_digit_blocks`` and, with leap 1, ``tables`` its ``_outer_sum_tables``
+    over first .. last (None otherwise).  A plan holds tables only, never
+    points; it is cached because the estimator fills a chunk one row block
+    at a time, and every block of the chunk reads the same plan.
+    """
+    primes = _first_primes(dim)
+    # The digit-reversed numerator stays below index * base, which must fit
+    # in int64.
+    if last * int(primes[-1]) >= 2**63:
+        raise ValueError(
+            f"Halton index bound exceeded: element index {last} times prime base "
+            f"{int(primes[-1])} must stay below 2**63"
+        )
+    plan = []
+    for b in (int(p) for p in primes):
+        ndigits = _digit_count(last, b)
+        blocks = _digit_blocks(b, ndigits)
+        tables = _outer_sum_tables(b, ndigits, blocks, first, last) if leap == 1 else None
+        plan.append((blocks, tables, float(b**ndigits)))
+    return tuple(plan)
+
+
+def _halton_fill(plan: tuple, first: int, start: int, leap: int, out: np.ndarray) -> None:
+    """Write the elements start, start + leap, ... into the rows of ``out``.
+
+    ``plan`` is the ``_halton_plan`` of a range first .. last that holds
+    these elements.  Each base's numerators go straight into their column,
+    ``_HALTON_ROWS`` rows at a time, so the writes stay in cache.  With
+    leap 1 the numerators of a row block are high[a] + low[r] over the
+    quotients a and remainders r of index = a b^k + r: one or two slices of
+    low when b^k >= rows, else one outer sum.
+    """
+    num = np.empty(min(out.shape[0], _HALTON_ROWS), dtype=np.int64)
+    for lo in range(0, out.shape[0], _HALTON_ROWS):
+        block = out[lo : lo + _HALTON_ROWS]
+        rows = block.shape[0]
+        head = start + leap * lo
+        idx = None if leap == 1 else head + leap * np.arange(rows, dtype=np.int64)
+        for col, (blocks, tables, scale) in enumerate(plan):
+            if tables is None:
+                values = _reversed_numerators(idx, blocks)
+            else:
+                size, low, high = tables
+                a, r = divmod(head, size)
+                a -= first // size
+                if size >= rows:
+                    values = num[:rows]
+                    split = min(size - r, rows)
+                    np.add(high[a], low[r : r + split], out=values[:split])
+                    if split < rows:
+                        np.add(high[a + 1], low[: rows - split], out=values[split:])
+                else:
+                    touched = (r + rows - 1) // size + 1
+                    values = (high[a : a + touched, None] + low).ravel()[r : r + rows]
+            np.divide(values, scale, out=block[:, col])
+
+
 def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
     """Elements skip, skip+leap, ..., of the Halton sequence in (0, 1)^dim.
 
@@ -179,7 +251,7 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
     value is the exact integer numerator rev_K(index), the index's K base-b
     digits reversed, divided once by base^K.  The digits are reversed a
     block of up to k digits at a time (b^k <= _DIGIT_TABLE_SIZE) through
-    digit-reversal tables built once per call, lowest block first:
+    digit-reversal tables built once per plan, lowest block first:
     num <- num * b^k + rev_k(rem mod b^k).  This builds the same exact
     integer as a digit-by-digit loop, so the values do not depend on the
     table size.  While index * base < 2**53 both the numerator and base^K
@@ -189,8 +261,8 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
     the degenerate all-zero point, so callers should use skip >= 1.
 
     With leap 1 the indices are consecutive, so the numerators of a row
-    block come from one outer sum high[a, None] + low over the quotients a
-    and remainders r of index = a b^k + r (see ``_outer_sum_tables``): the
+    block come from sums high[a] + low[r] over the quotients a and
+    remainders r of index = a b^k + r (see ``_outer_sum_tables``): the
     same exact integers as the digit blocks, hence the same doubles.  Other
     leaps peel each index's digit blocks.
 
@@ -207,48 +279,17 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
 
     Indices are exact int64 integers: the last index times the largest
     prime base in use must stay below 2**63, or a ValueError is raised.
-    The result is a C-contiguous (n, dim) float64 array, filled
-    ``_HALTON_ROWS`` rows at a time through a small (dim, rows) buffer.
+    The result is a C-contiguous (n, dim) float64 array, filled by
+    ``_halton_fill`` from the ``_halton_plan`` of skip .. last index.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if n < 0 or skip < 0 or leap < 1:
         raise ValueError("need n >= 0, skip >= 0, leap >= 1")
-    primes = _first_primes(dim)
-    # The digit-reversed numerator stays below index * base, which must fit
-    # in int64.
-    hi = int(skip) + int(leap) * max(int(n) - 1, 0)
-    if hi * int(primes[-1]) >= 2**63:
-        raise ValueError(
-            f"Halton index bound exceeded: element index {hi} times prime base "
-            f"{int(primes[-1])} must stay below 2**63"
-        )
-    plans = []
-    for b in (int(p) for p in primes):
-        ndigits = _digit_count(hi, b)
-        blocks = _digit_blocks(b, ndigits)
-        tables = _outer_sum_tables(b, ndigits, blocks, skip, hi) if leap == 1 else None
-        plans.append((blocks, tables, float(b**ndigits)))
-    indices = skip + leap * np.arange(n, dtype=np.int64)
+    dim, skip, leap = operator.index(dim), operator.index(skip), operator.index(leap)
+    plan = _halton_plan(dim, skip, skip + leap * max(int(n) - 1, 0), leap)
     out = np.empty((n, dim))
-    # Filling whole rows of a (dim, rows) buffer and copying its transpose
-    # keeps the result C-ordered, so row sums downstream run in the same
-    # order as for any other C-ordered block.
-    buf = np.empty((dim, min(n, _HALTON_ROWS)))
-    for lo in range(0, n, _HALTON_ROWS):
-        idx = indices[lo : lo + _HALTON_ROWS]
-        block = buf[:, : idx.size]
-        for row, (blocks, tables, scale) in zip(block, plans):
-            if tables is None:
-                num = _reversed_numerators(idx, blocks)
-            else:
-                size, low, high = tables
-                a, r = divmod(skip + lo, size)
-                a -= skip // size
-                touched = (r + idx.size - 1) // size + 1
-                num = (high[a : a + touched, None] + low).ravel()[r : r + idx.size]
-            np.divide(num, scale, out=row)
-        out[lo : lo + idx.size] = block.T
+    _halton_fill(plan, skip, skip, leap, out)
     return out
 
 
@@ -268,7 +309,8 @@ def gamma2_inverse_cdf(u):
     in the tests.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # written so that NaN fails too
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("gamma2_inverse_cdf requires 0 < u < 1")
     v = arr.ravel()
     t = -np.log1p(-v)
@@ -308,9 +350,15 @@ class PointSource:
     def __post_init__(self):
         if self.kind not in ("pseudo-random", "halton"):
             raise ValueError(f"unknown point source kind {self.kind!r}")
+        for name in ("dimension", "seed", "skip", "leap"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # stored as a Python int, so numpy integers give the same stream
+            object.__setattr__(self, name, int(value))
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.skip < 1 or self.leap < 1:
             raise ValueError("need skip >= 1 and leap >= 1")
@@ -325,40 +373,50 @@ class PointSource:
             return f"halton(dim={self.dimension},skip={self.skip},leap={self.leap})"
         return f"philox4x64(seed={self.seed},key=(seed,chunk),chunk_size={CHUNK_SIZE})"
 
-    def _chunk(self, c: int, rows: int) -> np.ndarray:
-        """At least the first ``rows`` rows of chunk c.
+    def _fill(self, c: int, lo: int, out: np.ndarray) -> None:
+        """Write rows lo .. lo + len(out) - 1 of chunk c into ``out``.
 
-        Philox fills row-major, so generating only ``rows`` rows gives the
-        same doubles as the head of the full chunk.  Halton always builds the
-        whole chunk: its digit count depends on the last index of a call.
+        No row before ``lo`` is generated.  Philox fills row-major, so the
+        rows start at double lo * dimension of the chunk's stream: one
+        counter skip of four doubles a step, then the rest drawn and
+        dropped.  Halton reads the cached plan of the whole chunk, whose
+        digit count comes from the chunk's last index, so every row has the
+        doubles of a whole-chunk build.
         """
         if self.kind == "halton":
-            return halton_points(
-                CHUNK_SIZE,
-                self.dimension,
-                skip=self.skip + self.leap * c * CHUNK_SIZE,
-                leap=self.leap,
-            )
-        key = np.array([self.seed, c], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        block = gen.random((rows, self.dimension))
-        block[block == 0.0] = _TINY_UNIFORM
-        return block
+            first = self.skip + self.leap * c * CHUNK_SIZE
+            plan = _halton_plan(self.dimension, first, first + self.leap * (CHUNK_SIZE - 1), self.leap)
+            _halton_fill(plan, first, first + self.leap * lo, self.leap, out)
+            return
+        bit_generator = np.random.Philox(key=np.array([self.seed, c], dtype=np.uint64))
+        skipped, dropped = divmod(lo * self.dimension, 4)
+        bit_generator.advance(skipped)
+        gen = np.random.Generator(bit_generator)
+        if dropped:
+            gen.random(dropped)
+        gen.random(out=out)
+        out[out == 0.0] = _TINY_UNIFORM
 
-    def uniform_block(self, start: int, count: int) -> np.ndarray:
-        """Points with absolute stream indices start .. start+count-1."""
+    def uniform_block(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Points with absolute stream indices start .. start+count-1.
+
+        They are written into ``out`` when it is given, a C-contiguous
+        float64 (count, dimension) array, which is returned.
+        """
         if start < 0 or count < 0:
             raise ValueError("start and count must be non-negative")
-        parts = []
-        c = start // CHUNK_SIZE
-        while c * CHUNK_SIZE < start + count:
-            lo = max(start - c * CHUNK_SIZE, 0)
-            hi = min(start + count - c * CHUNK_SIZE, CHUNK_SIZE)
-            parts.append(self._chunk(c, hi)[lo:hi])
-            c += 1
-        if not parts:
-            return np.empty((0, self.dimension))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        shape = (count, self.dimension)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        row = 0
+        while row < count:
+            c, lo = divmod(start + row, CHUNK_SIZE)
+            rows = min(CHUNK_SIZE - lo, count - row)
+            self._fill(c, lo, out[row : row + rows])
+            row += rows
+        return out
 
 
 def _branch_probabilities(state: GaussianState) -> np.ndarray:
@@ -377,29 +435,58 @@ def _require_negligible(state: GaussianState, policy: CrossTermPolicy) -> None:
         )
 
 
-def _component_arrays(state: GaussianState, component: str, u: np.ndarray):
+class _BlockWorkspace:
+    """Arrays for one block of up to ``rows`` samples of a d-dimensional
+    state: the block's uniforms, its standard normals, the sample
+    coordinates Q and P, and the branch centers of the Hermite assembly.
+
+    They are consecutive views of one float64 ``buffer`` of
+    ``size(rows, d)`` entries (allocated when none is given).
+    """
+
+    @staticmethod
+    def size(rows: int, d: int) -> int:
+        return rows * (7 * d + 2)
+
+    def __init__(self, rows: int, d: int, buffer: np.ndarray | None = None):
+        if buffer is None:
+            buffer = np.empty(self.size(rows, d))
+        ends = np.cumsum([rows * (2 * d + 2), rows * 2 * d, rows * d, rows * d])
+        uniforms, self.normals, Q, P, centers = np.split(buffer, ends)
+        self.uniforms = uniforms.reshape(rows, 2 * d + 2)
+        self.Q, self.P, self.centers = (a.reshape(rows, d) for a in (Q, P, centers))
+
+
+def _component_arrays(state: GaussianState, component: str, u: np.ndarray, work: _BlockWorkspace | None = None):
     """Draw one sample per row of the uniform block ``u``.
 
     Returns (Q, P, branch, plane) arrays; plane is -1 for the Husimi
     component and 0-based otherwise.  Every output row depends on its own
-    uniform row only.
+    uniform row only.  Q and P are views into ``work`` (a fresh workspace
+    of ``u``'s rows when none is given), valid until its next use; each
+    entry is rounded as center + sqrt(h) * normal (or center + polar
+    offset), whatever the order of the in-place steps.
     """
     d, h = state.dim, state.h
     if u.shape[1] != 2 * d + 2:
         raise ValueError(f"point source dimension must be {2 * d + 2}, got {u.shape[1]}")
     count = u.shape[0]
+    if work is None:
+        work = _BlockWorkspace(count, d)
     probs = _branch_probabilities(state)
     cum = np.cumsum(probs)
     branch = np.minimum(
         np.searchsorted(cum, u[:, 0], side="right"), state.n_branches - 1
     )
-    Qc = state.centers_q[branch]
-    Pc = state.centers_p[branch]
+    Q, P = work.Q[:count], work.P[:count]
     sqrt_h = np.sqrt(h)
     if component == "husimi":
-        g = ndtri(u[:, 2 : 2 * d + 2])
-        Q = Qc + sqrt_h * g[:, :d]
-        P = Pc + sqrt_h * g[:, d:]
+        g = ndtri(u[:, 2 : 2 * d + 2], out=work.normals[: count * 2 * d].reshape(count, 2 * d))
+        g *= sqrt_h
+        np.take(state.centers_q, branch, axis=0, out=Q, mode="clip")
+        np.take(state.centers_p, branch, axis=0, out=P, mode="clip")
+        Q += g[:, :d]
+        P += g[:, d:]
         plane = np.full(count, -1, dtype=np.int64)
         return Q, P, branch, plane
     if component != "hermite-mixture":
@@ -407,18 +494,24 @@ def _component_arrays(state: GaussianState, component: str, u: np.ndarray):
     plane = np.minimum((u[:, 1] * d).astype(np.int64), d - 1)
     theta = 2.0 * np.pi * u[:, 2]
     radius = np.sqrt(2.0 * h * gamma2_inverse_cdf(u[:, 3]))
-    qoff = np.empty((count, d))
-    poff = np.empty((count, d))
     if d > 1:
-        g = ndtri(u[:, 4 : 2 * d + 2])
-        cols = np.arange(d)[None, :]
-        others = cols != plane[:, None]
-        qoff[others] = (sqrt_h * g[:, : d - 1]).ravel()
-        poff[others] = (sqrt_h * g[:, d - 1 :]).ravel()
+        # The q and p normals of the other planes, each block C-ordered so
+        # that the mask scatter reads it without a copy.
+        size = count * (d - 1)
+        gq = ndtri(u[:, 4 : d + 3], out=work.normals[:size].reshape(count, d - 1))
+        gp = ndtri(u[:, d + 3 : 2 * d + 2], out=work.normals[size : 2 * size].reshape(count, d - 1))
+        gq *= sqrt_h
+        gp *= sqrt_h
+        others = np.arange(d)[None, :] != plane[:, None]
+        Q[others] = gq.ravel()
+        P[others] = gp.ravel()
     rows = np.arange(count)
-    qoff[rows, plane] = radius * np.cos(theta)
-    poff[rows, plane] = radius * np.sin(theta)
-    return Qc + qoff, Pc + poff, branch, plane
+    Q[rows, plane] = radius * np.cos(theta)
+    P[rows, plane] = radius * np.sin(theta)
+    centers = work.centers[:count]
+    Q += np.take(state.centers_q, branch, axis=0, out=centers, mode="clip")
+    P += np.take(state.centers_p, branch, axis=0, out=centers, mode="clip")
+    return Q, P, branch, plane
 
 
 @dataclass(frozen=True)
@@ -584,21 +677,34 @@ def estimate_expectation(
         n_h = n
         plan = [("husimi", 0, n)]
 
+    tasks = [(comp, s, e) for comp, lo, hi in plan for s, e in _chunk_ranges(lo, hi)]
+    threads = min(workers, len(tasks))
+    # One block workspace per worker thread, kept for the whole call.  All
+    # of them share one allocation: freeing it raises glibc's trim
+    # threshold to twice its size, so the next call of the same size
+    # reuses its pages instead of faulting them in again.
+    workspaces = queue.SimpleQueue()
+    for buffer in np.empty((threads, _BlockWorkspace.size(_BLOCK_ROWS, d))):
+        workspaces.put(_BlockWorkspace(_BLOCK_ROWS, d, buffer))
+
     def run_chunk(component: str, s: int, e: int) -> np.ndarray:
         """(count, sum, sum of squares) of every observable on one chunk."""
-        u = source.uniform_block(s, e - s)
-        vals = np.empty((len(observables), e - s))
-        for lo in range(0, e - s, _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            Q, P, _, _ = _component_arrays(state, component, u[block])
-            weights = _importance_weights(state, component, Q, P, norm) if exact_mode else None
-            for row, v in zip(vals, _observable_values(observables, Q, P)):
-                row[block] = v if weights is None else v * weights
+        work = workspaces.get()
+        try:
+            vals = np.empty((len(observables), e - s))
+            for lo in range(0, e - s, _BLOCK_ROWS):
+                rows = min(_BLOCK_ROWS, e - s - lo)
+                u = source.uniform_block(s + lo, rows, out=work.uniforms[:rows])
+                Q, P, _, _ = _component_arrays(state, component, u, work)
+                weights = _importance_weights(state, component, Q, P, norm) if exact_mode else None
+                for row, v in zip(vals, _observable_values(observables, Q, P)):
+                    row[lo : lo + rows] = v if weights is None else v * weights
+        finally:
+            workspaces.put(work)
         return np.array([(e - s, np.sum(row), np.sum(row * row)) for row in vals])
 
-    tasks = [(comp, s, e) for comp, lo, hi in plan for s, e in _chunk_ranges(lo, hi)]
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: run_chunk(*t), tasks))
     else:
         results = [run_chunk(*t) for t in tasks]

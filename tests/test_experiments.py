@@ -321,20 +321,24 @@ class TestSlopeFit:
 
 class TestSharedEstimates:
     def test_henon_heiles_reads_each_chunk_once(self, monkeypatch):
+        # every stream index is read exactly once per d, in blocks
         from phasespec.sampling import PointSource
 
         calls = []
         original = PointSource.uniform_block
 
-        def counting(self, start, count):
+        def counting(self, start, count, out=None):
             calls.append((self.dimension, start, count))
-            return original(self, start, count)
+            return original(self, start, count, out)
 
         monkeypatch.setattr(PointSource, "uniform_block", counting)
-        res = run_henon_heiles(d_list=(2, 8), n=2**17)
-        # per d: 2**16 Husimi and 2**16 Hermite points, two chunks each
-        assert len(calls) == 8
-        assert len(set(calls)) == 8
+        n = 2**17
+        res = run_henon_heiles(d_list=(2, 8), n=n)
+        for d in (2, 8):
+            ranges = sorted((start, start + count) for dim, start, count in calls if dim == 2 * d + 2)
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            # sorted, touching end to start: disjoint, with union [0, n)
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
         walls = res.column("wall_time_s")
         assert walls[0] == walls[1] == walls[2] and walls[3] == walls[4] == walls[5]
 

@@ -219,6 +219,11 @@ class TestGamma2InverseCdf:
         with pytest.raises(ValueError):
             gamma2_inverse_cdf(1.0)
 
+    @pytest.mark.parametrize("u", [np.nan, np.array([0.5, np.nan, 0.25]), np.array([[np.nan]])])
+    def test_nan_refused(self, u):
+        with pytest.raises(ValueError, match="0 < u < 1"):
+            gamma2_inverse_cdf(u)
+
 
 class TestGamma2Tails:
     """Both tails against 40-digit mpmath values."""
@@ -302,29 +307,84 @@ class TestPointSource:
         assert np.array_equal(block, direct)
 
     def test_philox_tail_rows_match_whole_chunk(self, monkeypatch):
-        # Zero every 997th double so the 2^-54 replacement runs on both the
-        # whole chunk and its heads.
+        # Zero every double below 1e-3, a property of its stream position
+        # however the chunk is read, so the 2^-54 replacement runs on both
+        # the whole chunk and every range of it.
         generator = np.random.Generator
 
         class ZeroingGenerator:
             def __init__(self, bit_generator):
                 self._gen = generator(bit_generator)
 
-            def random(self, shape):
-                out = self._gen.random(shape)
-                out.reshape(-1)[::997] = 0.0
-                return out
+            def random(self, size=None, out=None):
+                values = self._gen.random(size, out=out)
+                values[values < 1e-3] = 0.0
+                return values
 
+        key = np.array([11, 1], dtype=np.uint64)
+        plain = generator(np.random.Philox(key=key)).random((CHUNK_SIZE, 5))
         monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
         src = PointSource(dimension=5, seed=11)
         full = src.uniform_block(CHUNK_SIZE, CHUNK_SIZE)
-        assert np.count_nonzero(full == 2.0**-54) == -(-full.size // 997)
-        for lo, hi in [(0, 1), (0, 2048), (0, 20624), (5, 8480), (100, CHUNK_SIZE - 1)]:
+        replaced = full == 2.0**-54
+        assert replaced.any() and np.array_equal(replaced, plain < 1e-3)
+        assert np.array_equal(full[~replaced], plain[~replaced])
+        # odd starting rows begin mid-way through a four-double counter step
+        ranges = [(0, 1), (0, 2048), (0, 20624), (5, 8480), (100, CHUNK_SIZE - 1)]
+        ranges += [(1, 2), (2, 5), (3, 4099), (7, 2055), (CHUNK_SIZE - 3, CHUNK_SIZE)]
+        for lo, hi in ranges:
             tail = src.uniform_block(CHUNK_SIZE + lo, hi - lo)
             assert tail.view(np.int64).tolist() == full[lo:hi].view(np.int64).tolist()
         # a range straddling the chunk edge reads the next chunk's head
         straddle = src.uniform_block(CHUNK_SIZE - 10, 30)
         assert np.array_equal(straddle[10:], full[:20])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        kind=strategies.sampled_from(["pseudo-random", "halton"]),
+        dim=strategies.integers(1, 8),
+        leap=strategies.integers(1, 10),
+        start=strategies.integers(0, 2 * CHUNK_SIZE),
+        count=strategies.integers(0, CHUNK_SIZE + 5),
+    )
+    def test_any_range_is_a_slice_of_one_whole_read(self, kind, dim, leap, start, count):
+        src = PointSource(dimension=dim, kind=kind, seed=5, leap=leap)
+        whole = src.uniform_block(0, start + count)
+        part = src.uniform_block(start, count)
+        assert np.array_equal(part.view(np.int64), whole[start:].view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["pseudo-random", "halton"])
+    def test_chunk_tail_generates_only_its_rows(self, kind, monkeypatch):
+        import phasespec.sampling as sampling
+
+        requested = []
+        if kind == "halton":
+            fill = sampling._halton_fill
+
+            def recording(plan, first, start, leap, out):
+                requested.append(out.shape[0])
+                return fill(plan, first, start, leap, out)
+
+            monkeypatch.setattr(sampling, "_halton_fill", recording)
+        else:
+            generator = np.random.Generator
+
+            class RecordingGenerator:
+                def __init__(self, bit_generator):
+                    self._gen = generator(bit_generator)
+
+                def random(self, size=None, out=None):
+                    requested.append(np.prod(size if out is None else out.shape, dtype=int))
+                    return self._gen.random(size, out=out)
+
+            monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+        src = PointSource(dimension=5, kind=kind, seed=2)
+        tail = src.uniform_block(CHUNK_SIZE - 3, 3)
+        monkeypatch.undo()
+        assert np.array_equal(tail, src.uniform_block(0, CHUNK_SIZE)[-3:])
+        # Halton fills 3 rows; Philox draws 3 rows plus the doubles of a
+        # partly used counter step (32765 * 5 = 4 * 40953 + 1)
+        assert requested == ([3] if kind == "halton" else [1, 15])
 
     def test_generator_identity_strings(self):
         assert "philox4x64" in PointSource(dimension=2, seed=7).generator_id
@@ -337,6 +397,28 @@ class TestPointSource:
             PointSource(dimension=2, kind="sobol")
         with pytest.raises(ValueError):
             PointSource(dimension=2, kind="halton", skip=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": 1.0},
+            {"kind": "halton", "skip": 2.5},
+            {"kind": "halton", "leap": np.float64(2.0)},
+            {"leap": False},
+            {"dimension": 3.0},
+            {"dimension": np.bool_(True)},
+        ],
+    )
+    def test_non_integer_settings_refused(self, kwargs):
+        # a float seed used to run int(seed)'s stream under its own generator id
+        with pytest.raises(ValueError, match="must be an integer"):
+            PointSource(**{"dimension": 3, **kwargs})
+
+    def test_numpy_integer_settings_accepted(self):
+        src = PointSource(dimension=np.int64(3), seed=np.uint64(7), skip=np.int32(10), leap=np.int64(2))
+        assert np.array_equal(src.uniform_block(0, 4), PointSource(dimension=3, seed=7, skip=10, leap=2).uniform_block(0, 4))
 
 
 def component_draws(state, component, n, source):
@@ -857,3 +939,25 @@ class TestBlockedPass:
                 st, observables, method=method, n=n, source=source, policy=policy, workers=workers
             )
             assert np.array_equal(self.bits(got), want)
+
+
+class TestBlockMemory:
+    """The estimator streams each chunk through one block workspace per
+    worker and never holds a whole chunk of uniforms."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_peak_below_one_chunk(self, workers):
+        import tracemalloc
+
+        spec = HenonHeilesSpec(d=32)
+        state = spec.benchmark_state()
+        total = henon_heiles_total(spec)
+        source = PointSource(dimension=66, seed=4)
+        tracemalloc.start()
+        try:
+            estimate_expectation(state, total, n=2 * CHUNK_SIZE, source=source, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (CHUNK_SIZE, 66) chunk of uniforms is 16.5 MiB
+        assert peak < CHUNK_SIZE * 66 * 8
