@@ -37,7 +37,7 @@ from .observables import (
     observable_from_polynomial_records,
     weyl_expectation_gaussian,
 )
-from .quadrature import tensor_grid_expectation
+from .quadrature import _plane_rows, tensor_grid_expectation
 from .sampling import EstimatorResult, PointSource, estimate_expectation
 
 __all__ = [
@@ -72,8 +72,8 @@ DEFAULT_D_LIST = (2, 8, 32)
 # 0.88-1.02, so the constants fit both samplers.
 # A shared tensor-grid call walks points_per_axis^2 points on each of the d
 # planes.  Per plane point it costs TENSOR_COST_PER_BRANCH_POINT_SECONDS x K
-# for the K overlap and offset columns, and per computed Gram row (row 0 plus
-# every term factor that is not None on that plane) TENSOR_COST_PER_ROW_POINT_SECONDS
+# for the K overlap and offset columns, and per Gram row (row 0 plus every
+# distinct plane factor of the observables' terms) TENSOR_COST_PER_ROW_POINT_SECONDS
 # for the factor and TENSOR_COST_PER_GRAM_ENTRY_SECONDS x K^2 for its two K x K
 # Gram matrices.  Fitted to 108 timings on the same host (d = 1..3,
 # K = 1, 2, 3, 4, 6, 8, 1 + T rows per plane for T = 1, 3, 7, 40 to 160
@@ -84,6 +84,12 @@ SAMPLE_COST_PER_DIM_SECONDS = 9.6e-8
 TENSOR_COST_PER_BRANCH_POINT_SECONDS = 1.4e-7
 TENSOR_COST_PER_ROW_POINT_SECONDS = 4.0e-8
 TENSOR_COST_PER_GRAM_ENTRY_SECONDS = 2.5e-9
+# An observable evaluated through its symbol (an inline polynomial) adds
+# SYMBOL_COST_PER_ENTRY_SECONDS per sample and factor-table entry (one per term
+# and one per term factor).  Inline |p|^4 estimates (Philox, one worker, medians
+# of 5) took 1.42e-6, 5.59e-6 and 3.48e-5 s per sample at d = 8, 32 and 128 on a
+# 2-core Xeon host: projected / measured 0.85, 0.91 and 1.14, the minimax fit.
+SYMBOL_COST_PER_ENTRY_SECONDS = 1.1e-9
 # Seconds per (sample x uniform coordinate) of one exact-policy estimator pass
 # over torsional and quartic-momentum, medians of 5 alternating runs at h = 0.01
 # on a 2-core Xeon host: d = 2 (the sweep's state) 1.10-1.14e-7 (mu) and
@@ -238,12 +244,21 @@ def projected_seconds(n: int, d: int) -> float:
     return float(n) * (SAMPLE_COST_SECONDS + d * SAMPLE_COST_PER_DIM_SECONDS)
 
 
+def _symbol_evaluation_seconds(n: int, A: Observable) -> float:
+    """Cost-model projection of evaluating A through its symbol on n samples,
+    0 when A has an evaluator of its own."""
+    if A.polynomial is None or A.fn != A.polynomial.evaluate:
+        return 0.0
+    terms = A.polynomial.factor_table[1]
+    return float(n) * SYMBOL_COST_PER_ENTRY_SECONDS * (len(terms) + sum(len(fs) for _, fs in terms))
+
+
 def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, observables) -> float:
     """Cost-model projection of one shared tensor-grid call over the
     observables: points_per_axis^2 points on each of the d planes, each
     evaluating the K branch columns and adding to every computed Gram row."""
     K, d = state.n_branches, state.dim
-    rows = d + sum(f is not None for A in observables for _, fs in (A.plane_terms() or ()) for f in fs)
+    rows = sum(map(len, _plane_rows(observables, d)[0]))
     per_row = TENSOR_COST_PER_ROW_POINT_SECONDS + TENSOR_COST_PER_GRAM_ENTRY_SECONDS * K * K
     return float(points_per_axis) ** 2 * (d * TENSOR_COST_PER_BRANCH_POINT_SECONDS * K + rows * per_row)
 
@@ -575,7 +590,7 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, float, SweepRes
     _require_dim(state.dim)
     A = resolve_observable(config, state.dim)
     n = config.resolved_n()
-    _require_budget(projected_seconds(n, state.dim), config.force)
+    _require_budget(projected_seconds(n, state.dim) + _symbol_evaluation_seconds(n, A), config.force)
     source = config.point_source(2 * state.dim + 2)
     policy = CrossTermPolicy(mode="neglect", threshold=config.threshold)
     result = estimate_expectation(

@@ -9,11 +9,16 @@ moments (:func:`weyl_expectation_gaussian`): under the Wigner calculus each
 branch pair (k, l) makes every phase coordinate an independent normal with
 the pair's complex mean M_kl and variance h/2 (a single wavepacket: its
 center).
+
+Evaluation, the exact reference and the tensor-grid plane rows all read one
+factor table per symbol (:attr:`PolynomialSymbol.factor_table`): each distinct
+factor x_i^e cos(w x_i) is computed once, and the terms multiply them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import comb, exp, isfinite, log
 from operator import add
@@ -74,28 +79,9 @@ def _cosine_moment(mean, var: float, e: int, w: float):
     )
 
 
-def _times_factor(out, x, e: int, w: float):
-    """out * x^e cos(w x), skipping the power for e = 0 and the cosine for w = 0."""
-    if e:
-        out = out * x**e
-    if w:
-        out = out * np.cos(w * x)
-    return out
-
-
-def _plane_factor(a: int, wa: float, b: int, wb: float):
-    """The plane factor q^a cos(wa q) p^b cos(wb p) on meshgrid arrays."""
-
-    def factor(QQ, PP):
-        return _times_factor(_times_factor(np.ones_like(QQ), QQ, a, wa), PP, b, wb)
-
-    return factor
-
-
-def _active(exps, freqs):
-    """Indices of the variables a term depends on (nonzero exponent or
-    frequency), in increasing order."""
-    return compress(range(len(exps)), map(add, exps, freqs) if any(freqs) else exps)
+def _factor(x, e: int, w: float):
+    """The factor x^e cos(w x), without the cosine for w = 0."""
+    return x**e * np.cos(w * x) if w else x**e
 
 
 def _term_order(item):
@@ -116,6 +102,9 @@ class PolynomialSymbol:
     canonicalized on construction into (coefficient, exponents, frequencies)
     triples: frequencies made non-negative (cos is even), duplicates merged,
     zero coefficients dropped, and terms sorted (see :func:`_term_order`).
+    Coefficients and frequencies must be finite.  ``factor_table`` (built
+    on first use) lists the distinct factors (variable, exponent, frequency)
+    and per term its coefficient and factor indices in variable order.
     """
 
     terms: tuple
@@ -135,7 +124,10 @@ class PolynomialSymbol:
             freqs = tuple(abs(float(w)) for w in freqs) or zero
             if len(freqs) != width or not all(map(isfinite, freqs)):
                 raise ValueError("cosine frequencies must be finite, one per variable")
-            merged[exps, freqs] = merged.get((exps, freqs), 0.0) + float(coeff)
+            coeff = float(coeff)
+            if not isfinite(coeff):
+                raise ValueError(f"coefficients must be finite, got {coeff}")
+            merged[exps, freqs] = merged.get((exps, freqs), 0.0) + coeff
         if width is None or width % 2 != 0 or width == 0:
             raise ValueError("terms must cover an even, positive number of variables (2d)")
         canon = tuple(
@@ -158,39 +150,39 @@ class PolynomialSymbol:
         """Largest total exponent of a term (cosine factors not counted)."""
         return max(sum(e) for _, e, _ in self.terms)
 
+    @cached_property
+    def factor_table(self) -> tuple[tuple, tuple]:
+        """(factors, terms): the distinct (variable, exponent, frequency)
+        factors in order of first use, and per term (coefficient, indices of
+        its factors in variable order)."""
+        index: dict[tuple, int] = {}
+        terms = []
+        for c, e, w in self.terms:
+            # the variables the term depends on: nonzero exponent or frequency
+            active = compress(range(len(e)), map(add, e, w) if any(w) else e)
+            terms.append((c, tuple(index.setdefault((i, e[i], w[i]), len(index)) for i in active)))
+        return tuple(index), tuple(terms)
+
+    def _term_sum(self, F, out):
+        """out + sum_t coeff_t prod_f F[f], the terms in order, each product
+        formed left to right from its coefficient."""
+        for prod, factors in self.factor_table[1]:
+            for f in factors:
+                prod = prod * F[f]
+            out += prod
+        return out
+
     def evaluate(self, Q, P) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         P = np.atleast_2d(np.asarray(P, dtype=float))
         d = self.dim
-        out = np.zeros(Q.shape[0])
-        for coeff, exps, freqs in self.terms:
-            term = np.full(Q.shape[0], coeff)
-            for i in _active(exps, freqs):
-                term = _times_factor(term, Q[:, i] if i < d else P[:, i - d], exps[i], freqs[i])
-            out += term
-        return out
+        F = [_factor(Q[:, i] if i < d else P[:, i - d], e, w) for i, e, w in self.factor_table[0]]
+        return self._term_sum(F, np.zeros(Q.shape[0]))
 
     def __add__(self, other: "PolynomialSymbol") -> "PolynomialSymbol":
         if self.n_vars != other.n_vars:
             raise ValueError("cannot add polynomials over different variable sets")
         return PolynomialSymbol(self.terms + other.terms)
-
-    def plane_terms(self) -> list[tuple[float, tuple]]:
-        """Decompose into per-plane factors for tensor-grid quadrature.
-
-        Returns a list of (coefficient, factors) with one factor per plane;
-        a factor is None (constant 1) or a callable f(QQ, PP) acting on the
-        plane's meshgrid arrays.
-        """
-        d = self.dim
-        out = []
-        for coeff, exps, freqs in self.terms:
-            factors = []
-            for j in range(d):
-                a, wa, b, wb = exps[j], freqs[j], exps[d + j], freqs[d + j]
-                factors.append(_plane_factor(a, wa, b, wb) if a or wa or b or wb else None)
-            out.append((coeff, tuple(factors)))
-        return out
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ class Observable:
     polynomial : PolynomialSymbol, optional
         Sparse symbol; when present it must agree with ``fn`` (checked in
         the tests), and it gives the exact reference and the tensor-grid
-        plane factors.
+        plane rows.
     parts : tuple of Observable, optional
         Summands of a sum observable; ``fn`` must be the left-to-right sum
         of the parts' ``fn`` values.  ``estimate_expectation`` evaluates
@@ -224,10 +216,6 @@ class Observable:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         P = np.atleast_2d(np.asarray(P, dtype=float))
         return np.asarray(self.fn(Q, P), dtype=float)
-
-    def plane_terms(self):
-        """Per-plane separable decomposition, or None when unavailable."""
-        return None if self.polynomial is None else self.polynomial.plane_terms()
 
 
 def torsional_potential(d: int) -> Observable:
@@ -280,6 +268,8 @@ class HenonHeilesSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("Henon-Heiles requires d >= 2")
+        if not isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         validate_h(self.h)
 
     def benchmark_state(self) -> GaussianState:
@@ -365,17 +355,8 @@ def weyl_expectation_gaussian(A, state: GaussianState) -> float:
         raise ValueError("observable and state dimensions differ")
     C, L, M = _pair_terms(state)
     var = state.h / 2.0
-    total = np.zeros(C.size, dtype=complex)
-    # moments[(i, e, w)] = E[X_i^e cos(w X_i)]; terms share most of their factors
-    moments: dict[tuple[int, int, float], np.ndarray] = {}
-    for coeff, exps, freqs in poly.terms:
-        prod = coeff
-        for i in _active(exps, freqs):
-            key = (i, exps[i], freqs[i])
-            if key not in moments:
-                moments[key] = _cosine_moment(M[:, i], var, *key[1:])
-            prod = prod * moments[key]
-        total += prod
+    F = [_cosine_moment(M[:, i], var, e, w) for i, e, w in poly.factor_table[0]]
+    total = poly._term_sum(F, np.zeros(C.size, dtype=complex))
     return float(((C * np.exp(L)) @ total).real / state_norm2(state))
 
 

@@ -27,22 +27,25 @@ pointwise sum for d <= 2.
 
 The Gram stacks do not depend on the density; only the final combination
 does.  ``tensor_grid_integrals`` therefore walks each plane once, in blocks
-of q-lines, for any number of observables and methods: row 0 of the stack
-integrates the constant 1, the rows after it the plane factors of every
-observable's terms in order, and V, Z and their conjugates are computed once
-per block.  A term whose factor on plane j is None (the constant 1) has
-exactly row 0's plane-j Grams, so those are copied after the walk instead of
-being summed again; the copy is the same float sum, so every result equals
-that of a single-observable, single-method call.
+of q-lines, for any number of observables and methods, and V, Z and their
+conjugates are computed once per block.  Plane j has one Gram row per
+distinct plane factor (its factors on q_j and p_j, read from each symbol's
+factor table) across all of the observables, row 0 being the constant 1; a
+term reads on each plane the row of its factor there.  A row is the same
+float sum whichever terms share it, so every result equals that of a
+single-observable, single-method call.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .core import GaussianState, _overlap_factors
+from .observables import PolynomialSymbol, _factor
 from . import densities
 
 __all__ = [
@@ -84,18 +87,31 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _observable_terms(observable, d: int):
-    if observable is None:
-        return [(1.0, (None,) * d)]
-    terms = observable.plane_terms()
-    if terms is None:
-        raise ValueError(
-            f"observable {observable.label!r} has no symbol; tensor-grid quadrature "
-            "needs one for its per-plane decomposition"
-        )
-    if any(len(factors) != d for _, factors in terms):
-        raise ValueError("observable and state dimensions differ")
-    return terms
+def _plane_rows(observables, d: int) -> tuple[list[list[tuple]], list[list[tuple]]]:
+    """(rows, term_lists) of a shared plane walk: rows[j] lists the distinct
+    plane factors on plane j, each a tuple of (variable, exponent, frequency)
+    factors on q_j and p_j, row 0 the constant (); term_lists[i] lists the
+    i-th observable's terms as (coefficient, row on each plane).  None is A = 1.
+    """
+    index = [{(): 0} for _ in range(d)]
+    term_lists = []
+    for A in observables:
+        poly = PolynomialSymbol(((1.0, (0,) * (2 * d)),)) if A is None else A.polynomial
+        if poly is None:
+            raise ValueError(f"observable {A.label!r} has no symbol for a per-plane decomposition")
+        if poly.dim != d:
+            raise ValueError("observable and state dimensions differ")
+        factors, terms = poly.factor_table
+        term_lists.append([])
+        for coeff, fs in terms:
+            planes: dict[int, tuple] = {}
+            for i, e, w in map(factors.__getitem__, fs):
+                planes[i % d] = planes.get(i % d, ()) + ((i, e, w),)
+            rows = [0] * d
+            for j, key in planes.items():
+                rows[j] = index[j].setdefault(key, len(index[j]))
+            term_lists[-1].append((coeff, rows))
+    return [list(rows) for rows in index], term_lists
 
 
 def tensor_grid_integrals(
@@ -125,17 +141,11 @@ def tensor_grid_integrals(
     d, h, K = state.dim, state.h, state.n_branches
     # Only the S_j kernels (mu, hermite-mixture) read the plane offsets Z.
     offsets = any(m != "husimi" for m in methods)
-    term_lists = [_observable_terms(A, d) for A in observables]
-    # Gram rows: row 0 integrates the constant 1, then come the terms of
-    # every observable in order.
-    row_factors = [(None,) * d] + [factors for terms in term_lists for _, factors in terms]
-
-    # Per-plane Gram stacks [row, j, k, l].  A row whose plane-j factor is
-    # None has row 0's plane-j Grams; they are copied after the walk.
-    I0 = np.zeros((len(row_factors), d, K, K), dtype=complex)
+    plane_rows, term_lists = _plane_rows(observables, d)
+    # Per-plane Gram stacks [row, j, k, l]; plane j fills len(plane_rows[j]) rows.
+    I0 = np.zeros((max(map(len, plane_rows)), d, K, K), dtype=complex)
     Ib = np.zeros_like(I0)
     for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):
-        computed = [0] + [r for r, fs in enumerate(row_factors) if fs[j] is not None]
         # unit coefficients: the real ones may give this plane zero norm
         plane = GaussianState(
             h, np.ones(K), state.centers_q[:, j : j + 1], state.centers_p[:, j : j + 1]
@@ -151,15 +161,12 @@ def tensor_grid_integrals(
             if offsets:
                 Z = densities._plane_offset(plane, Q, P, V, 0)
                 Zc = Z.conj().T
-            for r in computed:
-                f = row_factors[r][j]
-                wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
+            x = (QQ.ravel(), PP.ravel())
+            for r, factors in enumerate(plane_rows[j]):
+                wf = w * reduce(mul, (_factor(x[i >= d], e, fw) for i, e, fw in factors), 1.0)
                 I0[r, j] += (V * wf) @ Vc
                 if offsets:
                     Ib[r, j] += 2.0 * h * ((Z * wf) @ Zc)
-        copied = [r for r, fs in enumerate(row_factors) if r and fs[j] is None]
-        I0[copied, j] = I0[0, j]
-        Ib[copied, j] = Ib[0, j]
 
     def combine(method: str, i0: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """(K, K) grid integrals of the density's pair kernels from the
@@ -177,17 +184,14 @@ def tensor_grid_integrals(
         c = state.coefficients
         return (2.0 * np.pi * h) ** (-d) * float((c @ M @ c.conj()).real)
 
+    planes = np.arange(d)
     out = {}
     for m in methods:
         den = contract(combine(m, I0[0], Ib[0]))
-        pairs, row = [], 1
-        for terms in term_lists:
-            num = sum(
-                coeff * combine(m, I0[row + t], Ib[row + t]) for t, (coeff, _) in enumerate(terms)
-            )
-            pairs.append((contract(num), den))
-            row += len(terms)
-        out[m] = pairs
+        out[m] = [
+            (contract(sum(c * combine(m, I0[r, planes], Ib[r, planes]) for c, r in terms)), den)
+            for terms in term_lists
+        ]
     return out[method][0] if single else out
 
 

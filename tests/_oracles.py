@@ -171,6 +171,56 @@ def marginal_reference_slabs(state, A, side, resolution, normalized=True):
     return num / den if normalized else num
 
 
+def times_factor(out, x, e, w):
+    """out * x^e cos(w x), skipping the power for e = 0 and the cosine for w = 0."""
+    if e:
+        out = out * x**e
+    if w:
+        out = out * np.cos(w * x)
+    return out
+
+
+def term_by_term_evaluate(poly, Q, P):
+    """A symbol's values summed term by term, each term multiplied up from a
+    column of its coefficient one variable at a time."""
+    Q, P = np.atleast_2d(Q), np.atleast_2d(P)
+    d = poly.dim
+    X = [Q[:, i] if i < d else P[:, i - d] for i in range(2 * d)]
+    out = np.zeros(Q.shape[0])
+    for coeff, exps, freqs in poly.terms:
+        term = np.full(Q.shape[0], coeff)
+        for i in range(2 * d):
+            term = times_factor(term, X[i], exps[i], freqs[i])
+        out += term
+    return out
+
+
+def term_by_term_reference(poly, state):
+    """<psi|A^w|psi> / <psi|psi> with each term's product of one-dimensional
+    moments formed afresh, variable by variable, for every term."""
+    from phasespec.core import _pair_terms, state_norm2
+    from phasespec.observables import _cosine_moment
+
+    C, L, M = _pair_terms(state)
+    total = np.zeros(C.size, dtype=complex)
+    for coeff, exps, freqs in poly.terms:
+        prod = coeff
+        for i in range(2 * poly.dim):
+            if exps[i] or freqs[i]:
+                prod = prod * _cosine_moment(M[:, i], state.h / 2.0, exps[i], freqs[i])
+        total += prod
+    return float(((C * np.exp(L)) @ total).real / state_norm2(state))
+
+
+def plane_factor(exps, freqs, j, d):
+    """A term's factor q_j^a cos(wa q_j) p_j^b cos(wb p_j) on plane j as a
+    function of the plane's meshgrid arrays, or None when it is the constant 1."""
+    a, wa, b, wb = exps[j], freqs[j], exps[d + j], freqs[d + j]
+    if not (a or wa or b or wb):
+        return None
+    return lambda QQ, PP: times_factor(times_factor(np.ones_like(QQ), QQ, a, wa), PP, b, wb)
+
+
 def tensor_grid_every_row(state, observable, method, points_per_axis):
     """(num, den) of one observable and one method by the plane walk of
     ``tensor_grid_integrals``, but with no shared or copied rows: the Gram
@@ -182,7 +232,13 @@ def tensor_grid_every_row(state, observable, method, points_per_axis):
     from phasespec.quadrature import _BLOCK_POINTS, _trapezoid_weights, plane_axes
 
     d, h, K = state.dim, state.h, state.n_branches
-    terms = [(1.0, (None,) * d)] if observable is None else observable.plane_terms()
+    if observable is None:
+        terms = [(1.0, (None,) * d)]
+    else:
+        terms = [
+            (c, tuple(plane_factor(e, w, j, d) for j in range(d)))
+            for c, e, w in observable.polynomial.terms
+        ]
     I0 = np.zeros((len(terms) + 1, d, K, K), dtype=complex)
     Ib = np.zeros_like(I0)
     for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):

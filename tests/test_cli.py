@@ -340,6 +340,75 @@ class TestGuardBeforeWork:
         assert "resource guard" in capsys.readouterr().err
 
 
+    @staticmethod
+    def quartic_momentum_config(tmp_path, n):
+        """A config file with |p|^4 at d = 128 as an inline polynomial."""
+        d, records = 128, []
+        for j in range(d):
+            for l in range(j, d):
+                exps = [0] * (2 * d)
+                exps[d + j] += 2
+                exps[d + l] += 2
+                records.append([1.0 if j == l else 2.0, exps])
+        path = tmp_path / f"quartic{n}.json"
+        path.write_text(json.dumps({"observable_polynomial": records, "d": d, "n": n}))
+        return str(path)
+
+    def test_inline_symbol_charged_its_evaluation(self, tmp_path, monkeypatch, capsys):
+        # |p|^4 at d = 128 as an inline polynomial has 8,256 terms and 16,384
+        # term factors: about 2.7e-5 s per sample for its evaluation on top of
+        # the 1.3e-5 s of sampling, so n = 2e7 projects about 800 s and is
+        # refused, while the label (its own evaluator) is charged no more
+        import phasespec.experiments as experiments
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(experiments, "estimate_expectation", reached)
+        assert main(["expectation", "--config", self.quartic_momentum_config(tmp_path, 20_000_000)]) == 3
+        assert "resource guard" in capsys.readouterr().err
+        with pytest.raises(Reached):
+            main(["expectation", "--config", self.quartic_momentum_config(tmp_path, 100_000)])
+        with pytest.raises(Reached):
+            main(["expectation", "--observable", "quartic-momentum", "--d", "128", "--n", "20000000"])
+
+
+class TestNonFiniteInputsRefused:
+    """A NaN or infinite coefficient or alpha exits 2 before any sampling."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        import phasespec.experiments as experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sampling started before the input was refused")
+
+        monkeypatch.setattr(experiments, "estimate_expectation", fail)
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_coefficient(self, no_sampling, coeff, tmp_path, capsys):
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps({"observable_polynomial": [[coeff, [2, 0]], [1.0, [0, 2]]], "d": 1}))
+        assert main(["expectation", "--config", str(path)]) == 2
+        assert "coefficients must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expectation", "--observable", "hh-total", "--d", "2", "--alpha", "nan"],
+            ["expectation", "--observable", "hh-total", "--d", "2", "--alpha", "inf"],
+            ["expectation", "--observable", "hh-potential", "--state", "origin", "--d", "2", "--alpha=-inf"],
+            ["henon-heiles", "--d-list", "2", "--n", "1000", "--alpha", "nan"],
+        ],
+    )
+    def test_alpha(self, no_sampling, argv, capsys):
+        assert main(argv) == 2
+        assert "alpha must be finite" in capsys.readouterr().err
+
+
 class TestExactReferenceCommand:
     @pytest.mark.parametrize("d", [3, 8])
     def test_torsional_reference_at_any_d(self, d, capsys):

@@ -404,6 +404,13 @@ class TestTensorGridCostModel:
         assert _projected_tensor_grid_seconds(100, st, [torsional, quartic]) - base == pytest.approx(
             1e4 * 6 * per_row
         )
+        # hh-kinetic's plane factors p_1^2 and p_2^2 are rows of quartic-momentum
+        # already, so adding it charges nothing
+        kinetic = observable_from_label("hh-kinetic", 2)
+        assert _projected_tensor_grid_seconds(100, st, [kinetic]) - base == pytest.approx(1e4 * 2 * per_row)
+        assert _projected_tensor_grid_seconds(100, st, [quartic, kinetic]) == _projected_tensor_grid_seconds(
+            100, st, [quartic]
+        )
 
     def test_default_sweep_far_below_budget(self):
         from phasespec.observables import observable_from_label

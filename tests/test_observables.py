@@ -15,7 +15,7 @@ from phasespec import (
     torsional_potential,
     weyl_expectation_gaussian,
 )
-from _oracles import marginal_reference_slabs
+from _oracles import marginal_reference_slabs, term_by_term_evaluate, term_by_term_reference
 from phasespec.observables import (
     _cosine_moment,
     observable_from_label,
@@ -81,6 +81,10 @@ class TestPolynomialSymbol:
             PolynomialSymbol(((1.0, (1, 0), (1.0,)),))
         with pytest.raises(ValueError, match="frequencies"):
             PolynomialSymbol(((1.0, (1, 0), (np.inf, 0.0)),))
+        # a NaN or infinite coefficient is refused, not merged into the sum
+        for coeff in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                PolynomialSymbol(((coeff, (2, 0)), (1.0, (2, 0))))
 
 
 @strategies.composite
@@ -108,7 +112,51 @@ def raw_sum(terms, Q, P):
     return values.sum(axis=0), np.abs(values).sum(axis=0)
 
 
+@strategies.composite
+def cosine_symbols(draw, d):
+    """Symbols over 2d variables whose terms draw up to three factors
+    x_i^e cos(w x_i) from a small pool, so that factors repeat across terms;
+    a term with no factor is a constant."""
+    factor = strategies.tuples(
+        strategies.integers(0, 2 * d - 1),
+        strategies.integers(0, 3),
+        strategies.one_of(strategies.sampled_from([0.0, 0.5, 1.0, -2.0]), strategies.floats(-3.0, 3.0)),
+    )
+    pool = draw(strategies.lists(factor, min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(strategies.integers(1, 8), label="terms")):
+        exps, freqs = [0] * (2 * d), [0.0] * (2 * d)
+        for i, e, w in draw(strategies.lists(strategies.sampled_from(pool), max_size=3)):
+            exps[i], freqs[i] = e, w
+        terms.append((draw(strategies.floats(-2.0, 2.0)), tuple(exps), tuple(freqs)))
+    return PolynomialSymbol(tuple(terms))
+
+
 class TestPolynomialCanonicalProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=strategies.data(), d=strategies.integers(1, 4), seed=strategies.integers(0, 2**32 - 1))
+    def test_factor_table_equals_term_by_term(self, data, d, seed):
+        # One factor column (one moment) per distinct factor, multiplied into
+        # each term, gives the doubles of multiplying each term up on its own
+        # variable by variable; only a variable with both a power and a
+        # cosine, whose factor is now one column, may move the last digit.
+        poly = data.draw(cosine_symbols(d))
+        rng = np.random.default_rng(seed)
+        Q, P = rng.uniform(-1.5, 1.5, size=(2, 20, d))
+        branches = [
+            (complex(*rng.uniform(-1.0, 1.0, size=2)), PhasePoint(*rng.uniform(-1.0, 1.0, size=(2, d))))
+            for _ in range(2)
+        ]
+        state = GaussianState.from_branches(0.1, branches)
+        # the reference takes each mixed factor's moment in one call either way
+        assert weyl_expectation_gaussian(poly, state) == term_by_term_reference(poly, state)
+        want = term_by_term_evaluate(poly, Q, P)
+        if not any(e and w for _, exps, freqs in poly.terms for e, w in zip(exps, freqs)):
+            assert np.array_equal(poly.evaluate(Q, P), want)
+        else:
+            scale = sum(np.abs(term_by_term_evaluate(PolynomialSymbol((t,)), Q, P)) for t in poly.terms)
+            assert np.all(np.abs(poly.evaluate(Q, P) - want) <= 1e-14 * scale)
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=strategies.data(), d=strategies.integers(1, 3), seed=strategies.integers(0, 2**32 - 1))
     def test_canonical_form(self, data, d, seed):

@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings, strategies
 from phasespec import GaussianState, PhasePoint, state_norm2, weyl_expectation_gaussian
 from phasespec.experiments import benchmark_superposition
 from phasespec.observables import (
+    HenonHeilesSpec,
+    henon_heiles_energy,
     observable_from_polynomial_records,
     quartic_momentum,
     torsional_potential,
@@ -164,7 +166,8 @@ class TestSharedPass:
     def observables(rng, d):
         out = [None, quartic_momentum(d)]
         if d >= 2:
-            out.append(torsional_potential(d))
+            # hh-kinetic's p_j^2 plane factors are quartic-momentum's too
+            out += [torsional_potential(d), henon_heiles_energy(HenonHeilesSpec(d))[0]]
         # a constant term, a term on the first plane only (None factors on
         # the others) and a random term of degree <= 4
         records = [[2.5, [0] * (2 * d)], [-0.7, [1] + [0] * (d - 1) + [2] + [0] * (d - 1)]]
