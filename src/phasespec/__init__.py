@@ -15,11 +15,7 @@ __version__ = "0.1.0"
 
 from .core import GaussianState, PhasePoint, state_norm2
 from .densities import CrossTermPolicy
-from .exceptions import (
-    NonFiniteResultError,
-    NonNegligibleCrossTermsError,
-    ResourceGuardError,
-)
+from .exceptions import NonFiniteResultError, ResourceGuardError
 from .observables import (
     HenonHeilesSpec,
     Observable,
@@ -59,7 +55,6 @@ __all__ = [
     "halton_points",
     "gamma2_inverse_cdf",
     "estimate_expectation",
-    "NonNegligibleCrossTermsError",
     "ResourceGuardError",
     "NonFiniteResultError",
 ]

@@ -62,7 +62,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--points-per-axis", type=int, default=None, help="tensor-grid resolution")
     parser.add_argument("--n-points", type=int, default=None, help="density-section radial points")
     parser.add_argument("--max-radius", type=float, default=None, help="density-section maximum radius")
-    parser.add_argument("--threshold", type=float, default=None, help="cross-term neglect threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:

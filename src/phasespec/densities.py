@@ -63,6 +63,7 @@ import numpy as np
 from .core import GaussianState, _overlap_exponents, _overlap_factors, _pair_terms
 
 __all__ = [
+    "NEGLIGIBLE_DAMPING",
     "CrossTermPolicy",
     "wigner_many",
     "husimi_many",
@@ -74,37 +75,44 @@ __all__ = [
 ]
 
 
+# A pair damping factor below this bounds the pair's cross term, relative to
+# the diagonal terms, far below the sampling error of any feasible n, so the
+# branch mixture is sampled without weights.
+NEGLIGIBLE_DAMPING = 1e-14
+
+
 @dataclass(frozen=True)
 class CrossTermPolicy:
     """How the sampler treats branch-pair interference terms.
 
-    ``neglect`` mode samples the branch mixture sum_k |c_k|^2 rho_{g_{z_k}},
-    which leaves out every interference pair (k, l), k != l.  ``threshold``
-    only sets when the sampler refuses instead: at a pair damping factor
-    exp(-|z_k - z_l|^2 / (8h)) at or above it.  ``exact`` mode keeps every
-    pair by importance weighting against the exact densities.  The
-    pointwise evaluators always keep every pair.
+    ``neglect`` mode samples the mixture when the cross terms are
+    negligible: the branch mixture sum_k |c_k|^2 rho_{g_{z_k}} leaves out
+    every pair (k, l), k != l, so it is drawn only while every pair damping
+    exp(-|z_k - z_l|^2 / (8h)) is below ``NEGLIGIBLE_DAMPING``.  Otherwise,
+    and always in ``exact`` mode, the sampler keeps every pair by importance
+    weighting against the exact densities, as the pointwise evaluators do.
     """
 
     mode: str = "exact"
-    threshold: float = 1e-14
 
     def __post_init__(self):
         if self.mode not in ("exact", "neglect"):
             raise ValueError(f"unknown cross-term mode {self.mode!r}")
-        if not (np.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ValueError("threshold must be a finite non-negative real")
 
     def pair_damping(self, state: GaussianState) -> np.ndarray:
         """Matrix of damping factors exp(-|z_k - z_l|^2 / (8h)) = |<g_{z_k}, g_{z_l}>|^(1/2)."""
         return np.exp(0.5 * _overlap_exponents(state, state.centers_q, state.centers_p).real)
 
     def max_offdiagonal_damping(self, state: GaussianState) -> float:
-        if state.n_branches == 1:
-            return 0.0
+        """The largest pair damping factor over k != l (0 for one branch)."""
         damp = self.pair_damping(state)
-        mask = ~np.eye(state.n_branches, dtype=bool)
-        return float(damp[mask].max())
+        np.fill_diagonal(damp, 0.0)
+        return float(damp.max())
+
+    def weights_needed(self, state: GaussianState) -> bool:
+        """Whether sampling ``state`` needs importance weights: in ``exact``
+        mode always, else when a pair damping is >= ``NEGLIGIBLE_DAMPING``."""
+        return self.mode == "exact" or self.max_offdiagonal_damping(state) >= NEGLIGIBLE_DAMPING
 
 
 def _points(Q, P, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -141,7 +141,6 @@ class RunConfig:
     points_per_axis: int = 160
     n_points: int = 400
     max_radius: Optional[float] = None
-    threshold: float = 1e-14
     workers: int = 1
 
     def to_dict(self) -> dict:
@@ -239,8 +238,11 @@ def resolve_observable(config: RunConfig, d: int) -> Observable:
     return observable_from_label(config.observable, d, alpha=config.alpha)
 
 
-def projected_seconds(n: int, d: int) -> float:
-    """Cost-model projection of a sampling run (single thread)."""
+def projected_seconds(n: int, d: int, weighted: bool = False) -> float:
+    """Cost-model projection of a sampling run (single thread), with the
+    importance weights' pass over every uniform coordinate if ``weighted``."""
+    if weighted:
+        return float(n) * (2 * d + 2) * EXACT_COST_PER_COORD_SECONDS
     return float(n) * (SAMPLE_COST_SECONDS + d * SAMPLE_COST_PER_DIM_SECONDS)
 
 
@@ -434,7 +436,7 @@ def run_accuracy_sweep(
     # mode makes one tensor-grid call per h for every (method, observable)
     n_streams = len(methods) if use_sampler else 0
     projected = sum(
-        n_streams * cfg.resolved_n() * (2 * st.dim + 2) * EXACT_COST_PER_COORD_SECONDS
+        n_streams * projected_seconds(cfg.resolved_n(), st.dim, weighted=True)
         + (0.0 if use_sampler else _projected_tensor_grid_seconds(points_per_axis, st, obs))
         for st, obs in zip(states, observable_sets)
     )
@@ -457,9 +459,8 @@ def run_accuracy_sweep(
             # (estimate, noise floor, n, wall time) per observable
             if use_sampler:
                 t0 = time.perf_counter()
-                # the benchmark superposition has non-negligible interference
-                # at the large-h end, so the demonstration sampler runs the
-                # importance-weighted exact policy
+                # the benchmark superposition interferes at the large-h end;
+                # the exact policy weights every h alike, the small h too
                 results = estimate_expectation(
                     state,
                     observables,
@@ -590,9 +591,10 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, float, SweepRes
     _require_dim(state.dim)
     A = resolve_observable(config, state.dim)
     n = config.resolved_n()
-    _require_budget(projected_seconds(n, state.dim) + _symbol_evaluation_seconds(n, A), config.force)
+    policy = CrossTermPolicy(mode="neglect")
+    weighted = policy.weights_needed(state)
+    _require_budget(projected_seconds(n, state.dim, weighted) + _symbol_evaluation_seconds(n, A), config.force)
     source = config.point_source(2 * state.dim + 2)
-    policy = CrossTermPolicy(mode="neglect", threshold=config.threshold)
     result = estimate_expectation(
         state,
         A,
@@ -630,6 +632,11 @@ def run_expectation(config: RunConfig) -> tuple[EstimatorResult, float, SweepRes
             "n",
         ],
         rows=rows,
-        metadata={"generator": result.generator, "norm2": state_norm2(state)},
+        metadata={
+            "generator": result.generator,
+            "norm2": state_norm2(state),
+            "importance_weights": weighted,
+            "max_pair_damping": policy.max_offdiagonal_damping(state),
+        },
     )
     return result, reference, table

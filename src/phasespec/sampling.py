@@ -26,8 +26,8 @@ bit-identical for any worker count.
 The estimator streams each chunk ``_BLOCK_ROWS`` rows at a time: it reads
 a block's uniforms (every stream index once) into a workspace of its
 worker thread, assembles the samples there and evaluates the observables
-(and, under the exact policy, the importance weights, from one overlap
-table in ``_importance_weights``), so no array of a whole chunk's
+(and, when the policy needs them, the importance weights, from one
+overlap table in ``_importance_weights``), so no array of a whole chunk's
 uniforms is built and the temporaries stay in cache.  A source serves any
 row range of a chunk without generating the rows before it.  Every sample
 depends on its own uniform row only, and the chunk sums are taken over the
@@ -65,7 +65,7 @@ from scipy.special import ndtri
 
 from .core import GaussianState, _overlap_exponents, state_norm2
 from .densities import CrossTermPolicy, _plane_power_sum
-from .exceptions import NonFiniteResultError, NonNegligibleCrossTermsError
+from .exceptions import NonFiniteResultError
 from .observables import Observable
 
 __all__ = [
@@ -424,17 +424,6 @@ def _branch_probabilities(state: GaussianState) -> np.ndarray:
     return w / w.sum()
 
 
-def _require_negligible(state: GaussianState, policy: CrossTermPolicy) -> None:
-    worst = policy.max_offdiagonal_damping(state)
-    if worst >= policy.threshold:
-        raise NonNegligibleCrossTermsError(
-            f"cross terms non-negligible: max pair damping {worst:.3e} >= "
-            f"threshold {policy.threshold:.3e}; branch-mixture sampling would "
-            "be biased.  Use CrossTermPolicy(mode='exact') for importance-"
-            "weighted estimation or separate the branches."
-        )
-
-
 class _BlockWorkspace:
     """Arrays for one block of up to ``rows`` samples of a d-dimensional
     state: the block's uniforms, its standard normals, the sample
@@ -561,7 +550,7 @@ def _pairwise_reduce(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _importance_weights(state: GaussianState, component: str, Q: np.ndarray, P: np.ndarray, norm: float) -> np.ndarray:
-    """Exact-policy weights exact density / (proposal pdf * norm) of a block
+    """Importance weights exact density / (proposal pdf * norm) of a block
     of ``component`` samples, from one overlap table O_k = <g_w, g_{z_k}>.
 
     With the plane offsets zeta_jk of :mod:`phasespec.densities` and the
@@ -628,18 +617,18 @@ def estimate_expectation(
     ``A`` is one observable, which returns one result, or a non-empty
     sequence of observables, which returns a list of results in input
     order.  Every observable of a sequence is evaluated on the same points,
-    so the stream (and, under the exact policy, the importance weights) is
-    built once per chunk, and each result equals that of a single call.  A
+    so the stream (and, when weighted, the importance weights) is built
+    once per chunk, and each result equals that of a single call.  A
     sum observable is added up from the values of its ``parts``, each
     evaluated once per block however many observables list it.
 
-    Under the default neglect policy the estimate is normalized by the
-    branch weight total, which equals the state norm up to the policy's
-    guaranteed-negligible cross terms, so A = 1 yields exactly 1.  Under
-    ``CrossTermPolicy(mode='exact')`` (at any d) every sample is importance
-    weighted by exact-density / proposal and the estimate is normalized by
-    the exact state norm, which keeps small-separation superpositions
-    unbiased.
+    ``policy.weights_needed(state)`` picks the estimator.  If it is false
+    (under the default neglect policy, for branches whose pair dampings are
+    all below ``NEGLIGIBLE_DAMPING``) the branch mixture is sampled and
+    normalized by the branch weight total, so A = 1 yields exactly 1.
+    Otherwise, at any d, every sample is importance weighted by
+    exact-density / proposal and the estimate is normalized by the exact
+    state norm, which keeps interfering superpositions unbiased.
 
     Results are bit-identical across ``workers`` settings (>= 1): chunking
     and the reduction tree depend only on (n, split).
@@ -662,11 +651,8 @@ def estimate_expectation(
     if source.dimension != 2 * d + 2:
         raise ValueError(f"point source dimension must be {2 * d + 2}")
 
-    exact_mode = policy.mode == "exact"
-    if exact_mode:
-        norm = state_norm2(state)
-    else:
-        _require_negligible(state, policy)
+    weighted = policy.weights_needed(state)
+    norm = state_norm2(state) if weighted else None
 
     if method == "mu":
         if not 0.0 < split < 1.0:
@@ -696,7 +682,7 @@ def estimate_expectation(
                 rows = min(_BLOCK_ROWS, e - s - lo)
                 u = source.uniform_block(s + lo, rows, out=work.uniforms[:rows])
                 Q, P, _, _ = _component_arrays(state, component, u, work)
-                weights = _importance_weights(state, component, Q, P, norm) if exact_mode else None
+                weights = _importance_weights(state, component, Q, P, norm) if weighted else None
                 for row, v in zip(vals, _observable_values(observables, Q, P)):
                     row[lo : lo + rows] = v if weights is None else v * weights
         finally:

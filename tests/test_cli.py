@@ -102,6 +102,10 @@ class TestExpectationCommand:
         assert "generator:" in printed
         meta, header, rows = read_csv(out)
         assert rows[0][0] == "hh-total"
+        # one wavepacket: the branch mixture, with no pair to damp
+        assert meta["importance_weights"] == "False"
+        assert meta["max_pair_damping"] == "0.0"
+        assert "threshold" not in meta and "threshold" not in json.loads(meta["config_json"])
 
     def test_superposition_gets_moment_reference(self, tmp_path, capsys):
         out = tmp_path / "exp.csv"
@@ -113,6 +117,9 @@ class TestExpectationCommand:
         A = observable_from_label("hh-total", 2)
         exact = weyl_expectation_gaussian(A, benchmark_superposition(0.01))
         assert float(rows[0][header.index("reference")]) == exact
+        # branches 7.25 apart in |z_k - z_l|^2: damping e^-90.6, mixture path
+        assert meta["importance_weights"] == "False"
+        assert float(meta["max_pair_damping"]) == pytest.approx(math.exp(-7.25 / 0.08), rel=1e-12)
 
     def test_unknown_observable_exits_2(self, capsys):
         code = main(["expectation", "--observable", "nope", "--n", "100"])
@@ -123,21 +130,45 @@ class TestExpectationCommand:
         code = main(["expectation", "--n", "100"])
         assert code == 2
 
-    def test_cross_term_refusal_exits_2_and_threshold_overrides(self, capsys):
-        args = [
-            "expectation",
-            "--observable",
-            "torsional",
-            "--state",
-            "superposition-2d",
-            "--h",
-            "0.1",
-            "--n",
-            "5000",
-        ]
-        assert main(args) == 2
-        assert "cross terms non-negligible" in capsys.readouterr().err
-        assert main(args + ["--threshold", "1e-3"]) == 0
+    def test_interfering_superposition_runs_weighted(self, tmp_path):
+        # pair damping e^(-7.25 / 0.8) = 1.2e-4 at h = 0.1: weighted, not refused
+        out = tmp_path / "weighted.csv"
+        args = ["expectation", "--observable", "torsional", "--state", "superposition-2d",
+                "--h", "0.1", "--n", "5000", "--out", str(out)]
+        assert main(args) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["importance_weights"] == "True"
+        assert float(meta["max_pair_damping"]) == pytest.approx(math.exp(-7.25 / 0.8), rel=1e-12)
+
+    def test_interfering_branches_unbiased(self, tmp_path):
+        # the Henon-Heiles wavepacket plus a branch 0.1 away in q_1 (pair
+        # damping exp(-0.01 / (8 h)) = 0.71): the branch mixture is about 10
+        # stderr off here, the importance-weighted estimate is not
+        config = {
+            "d": 2, "h": 0.0037, "observable": "hh-total", "n": 65536,
+            "branches": [
+                {"q": [0.3645, 0.3645], "p": [1.0, 0.0]},
+                {"q": [0.4645, 0.3645], "p": [1.0, 0.0], "coeff": [0.0, 0.7]},
+            ],
+        }
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "two.csv"
+        assert main(["expectation", "--config", str(path), "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert meta["importance_weights"] == "True"
+        assert float(meta["max_pair_damping"]) == pytest.approx(math.exp(-0.1**2 / (8 * 0.0037)), rel=1e-12)
+        estimate, stderr, reference = (float(rows[0][header.index(k)]) for k in ("estimate", "stderr", "reference"))
+        assert abs(estimate - reference) < 5 * stderr
+
+    def test_threshold_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["expectation", "--observable", "torsional", "--threshold", "1e-3"])
+        assert exit_info.value.code == 2
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"observable": "torsional", "n": 1000, "threshold": 1e-14}))
+        assert main(["expectation", "--config", str(path)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_resource_guard_exits_3(self, capsys):
         code = main(
@@ -573,7 +604,6 @@ _FUZZ_FIELDS = {
     "branches": strategies.lists(_fuzz_branch(), max_size=3),
     "observable_polynomial": strategies.lists(_fuzz_record(), max_size=3),
     "alpha": _fuzz_float(),
-    "threshold": _fuzz_float(),
     "workers": strategies.integers(-1, 4),
     "points_per_axis": strategies.integers(-1, 200),
     "n_points": strategies.integers(-1, 500),
@@ -594,7 +624,7 @@ def _fuzz_config(draw):
         right = draw(strategies.sampled_from([True, True, True, True, False]))
         config[key] = draw(_FUZZ_FIELDS[key] if right or key in ("n", "d", "workers") else _wrong_type())
     if draw(strategies.sampled_from([False] * 9 + [True])):
-        config[draw(strategies.sampled_from(["reference_resolution", "resolution", "D"]))] = 2048
+        config[draw(strategies.sampled_from(["reference_resolution", "threshold", "resolution", "D"]))] = 2048
     return config
 
 

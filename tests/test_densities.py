@@ -258,8 +258,6 @@ class TestMu:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             CrossTermPolicy(mode="sometimes")
-        with pytest.raises(ValueError):
-            CrossTermPolicy(threshold=-1.0)
 
 
 class TestLaplacianHusimi:

@@ -207,6 +207,25 @@ class TestRunExpectation:
         with pytest.raises(ResourceGuardError):
             run_expectation(config)
 
+    def test_guard_charges_importance_weights(self, monkeypatch):
+        # the d = 32 Henon-Heiles wavepacket plus a branch 0.1 away in q_1 is
+        # importance weighted: n = 1.2e8 projects 792 s and is refused before
+        # any sampling; the wavepacket alone projects 408 s and is admitted
+        import phasespec.experiments as experiments
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiments, "estimate_expectation", fail)
+        q, p = [0.3645] * 32, [1.0] + [0.0] * 31
+        branches = [{"q": q, "p": p}, {"q": [0.4645] + q[1:], "p": p, "coeff": [0.0, 0.7]}]
+        config = RunConfig(observable="hh-total", d=32, h=0.0037, n=120_000_000, branches=branches)
+        with pytest.raises(ResourceGuardError, match="792s"):
+            run_expectation(config)
+        config.branches = branches[:1]
+        with pytest.raises(AssertionError, match="sampling started"):
+            run_expectation(config)
+
     @pytest.mark.parametrize(
         "config, unbuilt",
         [

@@ -19,7 +19,6 @@ from phasespec import (
     state_norm2,
     weyl_expectation_gaussian,
 )
-from phasespec.exceptions import NonNegligibleCrossTermsError
 from phasespec.observables import (
     HenonHeilesSpec,
     Observable,
@@ -631,15 +630,18 @@ class TestEstimator:
         assert abs(weyl_expectation_gaussian(A, st) - grid_val) > 20 * res.stderr
 
     def test_exact_policy_importance_weights_close_branches(self):
-        # branches too close for the neglect policy: importance weighting
-        # against the exact densities stays unbiased
+        # branches too close for the branch mixture: importance weighting
+        # against the exact densities stays unbiased, and the default
+        # policy picks it
         h = 0.1
         st = GaussianState.from_branches(
             h, [(1.0, PhasePoint([-0.3], [0.2])), (0.8, PhasePoint([0.4], [-0.1]))]
         )
         A = observable_from_polynomial_records([[1.0, [1, 0]]], 1)
-        with pytest.raises(NonNegligibleCrossTermsError):
-            estimate_expectation(st, A, method="mu", n=1000)
+        source = PointSource(dimension=4, seed=20)
+        assert estimate_expectation(st, A, method="mu", n=1000, source=source) == estimate_expectation(
+            st, A, method="mu", n=1000, source=source, policy=CrossTermPolicy(mode="exact")
+        )
         exact = weyl_expectation_gaussian(A, st)
         res = estimate_expectation(
             st,
@@ -661,11 +663,12 @@ class TestEstimator:
         # husimi method on a linear observable is exact in expectation
         assert abs(res_h.value - exact) < 5 * res_h.stderr
 
-    @pytest.mark.parametrize("d", [8, 32])
+    @pytest.mark.parametrize("d", [2, 8, 32])
     def test_exact_policy_at_high_dimension(self, d):
         # the Henon-Heiles wavepacket plus a branch 0.1 away in q_1 (pair
-        # damping 0.71): the neglect policy refuses it, the exact policy
-        # covers the closed form at every seed
+        # damping 0.71): the default policy weights it exactly, as the exact
+        # policy does, and covers the closed form at every seed (at d = 2
+        # the branch mixture would be about 10 stderr off)
         spec = HenonHeilesSpec(d=d)
         packet = spec.benchmark_state()
         q = packet.centers_q[0].copy()
@@ -675,14 +678,13 @@ class TestEstimator:
             [(1.0, PhasePoint(packet.centers_q[0], packet.centers_p[0])), (0.7j, PhasePoint(q, packet.centers_p[0]))],
         )
         A = henon_heiles_total(spec)
-        with pytest.raises(NonNegligibleCrossTermsError):
-            estimate_expectation(st, A, n=1000)
+        source = PointSource(dimension=2 * d + 2, seed=99)
+        assert estimate_expectation(st, A, n=1000, source=source) == estimate_expectation(
+            st, A, n=1000, source=source, policy=CrossTermPolicy(mode="exact")
+        )
         exact = weyl_expectation_gaussian(A, st)
         for seed in range(10):
-            res = estimate_expectation(
-                st, A, n=2**13, source=PointSource(dimension=2 * d + 2, seed=seed),
-                policy=CrossTermPolicy(mode="exact"),
-            )
+            res = estimate_expectation(st, A, n=2**13, source=PointSource(dimension=2 * d + 2, seed=seed))
             assert abs(res.value - exact) < 5 * res.stderr, seed
 
     def test_source_dimension_checked(self):
