@@ -34,6 +34,10 @@ __all__ = [
     "state_norm2",
 ]
 
+# Rows per cache block of the estimator and the density evaluators (divides
+# sampling.CHUNK_SIZE; chosen by timing hh-halton at 1024, 2048 and 4096).
+_BLOCK_ROWS = 2048
+
 
 def _as_float_vector(x, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))

@@ -50,16 +50,19 @@ from one branch-major (K, m) overlap table O[k, i] = O_k(w_i) that the
 sampler's weights share; the plane sums take one (K, m) product zeta_j O at
 a time, never a (K, d, m) array.
 
-Every evaluator is batched: the ``*_many`` functions take point coordinates
-Q, P of shape (m, d) and return shape (m,); a single point is a (1, d) pair.
+Every ``*_many`` evaluator takes points Q, P of shape (m, d), one point as
+(1, d), and returns shape (m,); it works in 2048-row blocks (``_blocked``),
+so a call holds the (m,) output plus one block's tables.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import GaussianState, _overlap_exponents, _overlap_factors, _pair_terms
 
 __all__ = [
@@ -105,6 +108,8 @@ class CrossTermPolicy:
 
     def max_offdiagonal_damping(self, state: GaussianState) -> float:
         """The largest pair damping factor over k != l (0 for one branch)."""
+        if state.n_branches == 1:
+            return 0.0
         damp = self.pair_damping(state)
         np.fill_diagonal(damp, 0.0)
         return float(damp.max())
@@ -123,9 +128,23 @@ def _points(Q, P, d: int) -> tuple[np.ndarray, np.ndarray]:
     return Q, P
 
 
+def _blocked(kernel):
+    """Checks (Q, P) once and runs the pointwise ``kernel`` on ``core._BLOCK_ROWS``-row slices,
+    so every double is that of one call; a lone last row (another BLAS path) joins the block before."""
+    @functools.wraps(kernel)
+    def evaluate(state: GaussianState, Q, P, *args) -> np.ndarray:
+        Q, P = _points(Q, P, state.dim)
+        out = np.empty(Q.shape[0])
+        starts = list(range(0, Q.shape[0] - 1, core._BLOCK_ROWS)) or [0]
+        for lo, hi in zip(starts, starts[1:] + [Q.shape[0]]):
+            out[lo:hi] = kernel(state, Q[lo:hi], P[lo:hi], *args)
+        return out
+    return evaluate
+
+
+@_blocked
 def husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     """Husimi function H(w) >= 0 at points (Q, P) of shape (m, d)."""
-    Q, P = _points(Q, P, state.dim)
     amp = state.coefficients @ _overlap_factors(state, Q, P)
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
@@ -155,26 +174,30 @@ def hermite_spectrogram_many(state: GaussianState, j: int, Q, P) -> np.ndarray:
     """First-order Hermite spectrogram S_j(w) >= 0 for plane index 1 <= j <= d."""
     if not 1 <= j <= state.dim:
         raise ValueError(f"plane index {j} out of range 1..{state.dim}")
-    Q, P = _points(Q, P, state.dim)
+    return _hermite_spectrogram(state, Q, P, j - 1)
+
+
+@_blocked
+def _hermite_spectrogram(state: GaussianState, Q, P, j: int) -> np.ndarray:
     O = _overlap_factors(state, Q, P)
-    amp = state.coefficients @ _plane_offset(state, Q, P, O, j - 1)
+    amp = state.coefficients @ _plane_offset(state, Q, P, O, j)
     return (2.0 * np.pi * state.h) ** (-state.dim) * np.abs(amp) ** 2
 
 
+@_blocked
 def hermite_mixture_many(state: GaussianState, Q, P) -> np.ndarray:
     """Plane average (1/d) sum_j S_j(w); a probability density up to the norm."""
-    Q, P = _points(Q, P, state.dim)
     total = _plane_power_sum(state, Q, P, _overlap_factors(state, Q, P))
     return (2.0 * np.pi * state.h) ** (-state.dim) * total / state.dim
 
 
 def _amplitude_powers(state: GaussianState, Q, P) -> tuple[np.ndarray, np.ndarray]:
     """(|sum_k c_k O_k|^2, sum_j |sum_k c_k zeta_{j,k} O_k|^2) from one table."""
-    Q, P = _points(Q, P, state.dim)
     O = _overlap_factors(state, Q, P)
     return np.abs(state.coefficients @ O) ** 2, _plane_power_sum(state, Q, P, O)
 
 
+@_blocked
 def mu_combination_many(state: GaussianState, Q, P) -> np.ndarray:
     """mu(w) evaluated literally as (1 + d/2) H(w) - (1/2) sum_j S_j(w).
 
@@ -199,6 +222,7 @@ def _pair_squares(state: GaussianState, Q: np.ndarray, P: np.ndarray):
     return C, L, s2
 
 
+@_blocked
 def mu_many(state: GaussianState, Q, P) -> np.ndarray:
     """Corrected density mu(w), as the single-branch closed form
     (2 pi h)^-d (1 + d/2 - s2/(4h)) e^{-s2/(2h)} summed over branch pairs.
@@ -206,7 +230,6 @@ def mu_many(state: GaussianState, Q, P) -> np.ndarray:
     Off-diagonal pairs carry the interference term damped by
     exp(-|z_k - z_l|^2 / (8h)).
     """
-    Q, P = _points(Q, P, state.dim)
     h, d = state.h, state.dim
     C, L, s2 = _pair_squares(state, Q, P)
     s2 /= -2.0 * h
@@ -218,11 +241,11 @@ def mu_many(state: GaussianState, Q, P) -> np.ndarray:
     return (2.0 * np.pi * h) ** (-d) * (s2 @ C).real
 
 
+@_blocked
 def wigner_many(state: GaussianState, Q, P) -> np.ndarray:
     """Wigner function W(w) = (pi h)^-d Re sum_kl W_kl e^{-s2/h}; real-valued
     but not sign-definite.  A pair (k, l) is an oscillatory term localized at
     the midpoint of the centers."""
-    Q, P = _points(Q, P, state.dim)
     h = state.h
     C, L, s2 = _pair_squares(state, Q, P)
     s2 /= -h
@@ -231,6 +254,7 @@ def wigner_many(state: GaussianState, Q, P) -> np.ndarray:
     return (np.pi * h) ** (-state.dim) * (s2 @ C).real
 
 
+@_blocked
 def laplacian_husimi_many(state: GaussianState, Q, P) -> np.ndarray:
     """Phase-space Laplacian of the Husimi function via the identity
 

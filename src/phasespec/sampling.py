@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .core import GaussianState, _overlap_exponents, state_norm2
+from .core import _BLOCK_ROWS, GaussianState, _overlap_exponents, state_norm2
 from .densities import CrossTermPolicy, _plane_power_sum
 from .exceptions import NonFiniteResultError
 from .observables import Observable
@@ -79,9 +79,6 @@ __all__ = [
 
 CHUNK_SIZE = 32768
 _TINY_UNIFORM = 2.0**-54
-# Rows per cache block of the estimator's pass over a chunk (divides
-# CHUNK_SIZE); chosen by timing hh-halton at 1024, 2048 and 4096.
-_BLOCK_ROWS = 2048
 # Below _GAMMA2_SERIES_U (root x < 0.36) gamma2_inverse_cdf solves on the
 # power series of the Gamma(2) CDF, whose first 14 terms reach double
 # precision there.

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
@@ -259,6 +265,15 @@ class TestMu:
         with pytest.raises(ValueError):
             CrossTermPolicy(mode="sometimes")
 
+    def test_single_branch_damping_builds_no_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a single branch needs no overlap table")
+
+        monkeypatch.setattr(D, "_overlap_exponents", no_table)
+        st = GaussianState.wavepacket(0.1, np.zeros(128), np.zeros(128))
+        assert CrossTermPolicy().max_offdiagonal_damping(st) == 0.0
+        assert not CrossTermPolicy(mode="neglect").weights_needed(st)
+
 
 class TestLaplacianHusimi:
     def test_center_value(self):
@@ -403,3 +418,65 @@ class TestDensityIdentityProperty:
         np.testing.assert_allclose(
             D.mu_combination_many(state, Q, P), expected, rtol=1e-12, atol=1e-12 * scale
         )
+
+
+# Every evaluator in 2048-row blocks against the same call in one block (the
+# block size raised past m), bit for bit.  Run with BLAS pinned to one
+# thread, as the benchmark runs: a threaded BLAS splits the columns of
+# c @ O by the call's own size, so a block's last bits may differ from
+# those of a whole-array call.
+_BLOCKING_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from phasespec import GaussianState, core
+    from phasespec import densities as D
+
+    def evaluate(st, j, Q, P):
+        return [
+            D.husimi_many(st, Q, P), D.hermite_spectrogram_many(st, j, Q, P),
+            D.hermite_mixture_many(st, Q, P), D.mu_combination_many(st, Q, P),
+            D.laplacian_husimi_many(st, Q, P), D.mu_many(st, Q, P), D.wigner_many(st, Q, P),
+        ]
+
+    rows = core._BLOCK_ROWS
+    rng = np.random.default_rng(2048)
+    report = {"checked": 0, "mismatches": [], "empty": [], "one_point": []}
+    for _ in range(5):
+        K, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        st = GaussianState(
+            float(rng.uniform(0.02, 0.5)), rng.normal(size=K) + 1j * rng.normal(size=K),
+            rng.normal(size=(K, d)), rng.normal(size=(K, d)),
+        )
+        j = int(rng.integers(1, d + 1))
+        # 4097 = 2 * 2048 + 1 folds its lone last row into the block before
+        for m in (0, 1, 2, 2047, 2048, 2049, 4097, 2 * 2048 + 333):
+            Q, P = rng.normal(size=(m, d)), rng.normal(size=(m, d))
+            blocked = evaluate(st, j, Q, P)
+            core._BLOCK_ROWS = max(m, 1)
+            whole = evaluate(st, j, Q, P)
+            core._BLOCK_ROWS = rows
+            for i, (a, b) in enumerate(zip(blocked, whole)):
+                report["checked"] += 1
+                if a.shape != (m,) or a.tobytes() != b.tobytes():
+                    report["mismatches"].append([K, d, m, i])
+        report["empty"].append([list(r.shape) for r in evaluate(st, j, np.empty((0, d)), np.empty((0, d)))])
+        report["one_point"].append([list(r.shape) for r in evaluate(st, j, np.zeros(d), np.ones(d))])
+    print(json.dumps(report))
+    """
+)
+
+
+def test_blocking_keeps_every_double():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(D.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _BLOCKING_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["checked"] == 5 * 8 * 7
+    assert report["mismatches"] == []
+    assert report["empty"] == [[[0]] * 7] * 5
+    assert report["one_point"] == [[[1]] * 7] * 5
