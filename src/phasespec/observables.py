@@ -302,8 +302,13 @@ def henon_heiles_energy(spec: HenonHeilesSpec) -> tuple[Observable, Observable]:
 
     def pot_fn(Q, P):
         harm = 0.5 * np.sum(Q * Q, axis=1)
-        cubic = np.sum(Q[:, :-1] ** 2 * Q[:, 1:] - Q[:, 1:] ** 3 / 3.0, axis=1)
-        return harm + alpha * cubic
+        # q_j^2 q_{j+1} - q_{j+1}^3 / 3 in place: two (m, d - 1) temporaries
+        cubic = Q[:, :-1] ** 2
+        cubic *= Q[:, 1:]
+        top = Q[:, 1:] ** 3
+        top /= 3.0
+        cubic -= top
+        return harm + alpha * np.sum(cubic, axis=1)
 
     pot_terms = []
     for j in range(d):

@@ -25,11 +25,14 @@ bit-identical for any worker count.
 
 The estimator streams each chunk ``_BLOCK_ROWS`` rows at a time: it reads
 a block's uniforms (every stream index once) into a workspace of its
-worker thread, assembles the samples there and evaluates the observables
-(and, when the policy needs them, the importance weights, from one
-overlap table in ``_importance_weights``), so no array of a whole chunk's
-uniforms is built and the temporaries stay in cache.  A source serves any
-row range of a chunk without generating the rows before it.  Every sample
+worker thread, assembles the samples in place there (the workspace holds
+the uniforms, Q and P only: 4d + 2 doubles a row) and evaluates the
+observables (and, when the policy needs them, the importance weights, from
+one overlap table in ``_importance_weights``), so no array of a whole
+chunk's uniforms is built and the temporaries stay in cache.  A source
+serves any row range of a chunk without generating the rows before it; a
+Halton chunk plan keeps only its own quotient tables and shares its digit
+tables with every plan of the same digit counts.  Every sample
 depends on its own uniform row only, and the chunk sums are taken over the
 whole chunk after the last block, so the row blocking leaves the sums
 unchanged.
@@ -56,6 +59,7 @@ import math
 import numbers
 import operator
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -84,12 +88,13 @@ _TINY_UNIFORM = 2.0**-54
 # precision there.
 _GAMMA2_SERIES_U = 0.05
 _GAMMA2_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(14))
-# Largest digit-reversal table per Halton base (b^k entries), the rows
-# _halton_fill converts per pass over the bases, and the Halton plans kept
-# (one per chunk in flight; a chunk plan at dim 258 holds about 2.3 MiB).
+# Largest digit-reversal table per Halton base (b^k entries) and the rows
+# _halton_fill converts per pass over the bases.
 _DIGIT_TABLE_SIZE = 4096
 _HALTON_ROWS = 2048
-_HALTON_PLANS = 4
+# The Halton chunk plan each thread read last: a worker reads its chunk's
+# row blocks in order, so it builds every plan once.
+_THREAD_PLAN = threading.local()
 
 
 def _first_primes(n: int) -> np.ndarray:
@@ -118,13 +123,15 @@ def _digit_count(hi: int, base: int) -> int:
     return ndigits
 
 
-def _digit_blocks(base: int, ndigits: int) -> list[tuple[int, np.ndarray | None]]:
+@functools.cache
+def _digit_blocks(base: int, ndigits: int) -> tuple[tuple[int, np.ndarray | None], ...]:
     """Split ndigits base-b digits into blocks, lowest digits first.
 
     Each block is (b^m, rev_m) with rev_m[j] the m-digit reversal of
     j < b^m; a one-digit block has no table, as a digit is its own
     reversal.  Every block but the last has the largest m with
     b^m <= _DIGIT_TABLE_SIZE (m >= 1); the last holds the remaining digits.
+    Built once per (base, ndigits) and shared, so the tables are read-only.
     """
     full = 1
     while base ** (full + 1) <= _DIGIT_TABLE_SIZE:
@@ -137,11 +144,12 @@ def _digit_blocks(base: int, ndigits: int) -> list[tuple[int, np.ndarray | None]
     for m in range(2, full + 1):
         # j = a + b j' with low digit a: rev_m(j) = a b^(m-1) + rev_(m-1)(j')
         rev = (rev[:, None] + np.arange(base, dtype=np.int64) * base ** (m - 1)).ravel()
+        rev.flags.writeable = False
         tables.append(rev)
-    return [(base**full, tables[full - 1])] * n_full + [(base**last, tables[last - 1])]
+    return ((base**full, tables[full - 1]),) * n_full + ((base**last, tables[last - 1]),)
 
 
-def _reversed_numerators(idx: np.ndarray, blocks: list[tuple[int, np.ndarray | None]]) -> np.ndarray:
+def _reversed_numerators(idx: np.ndarray, blocks: Sequence[tuple[int, np.ndarray | None]]) -> np.ndarray:
     """The digit-reversed integers rev_K(idx) over the K digits of ``blocks``.
 
     Each block but the last peels its digits off with one scalar floor
@@ -159,25 +167,33 @@ def _reversed_numerators(idx: np.ndarray, blocks: list[tuple[int, np.ndarray | N
     return num * size + (rem if rev is None else rev[rem])
 
 
-def _outer_sum_tables(
-    base: int, ndigits: int, blocks: list[tuple[int, np.ndarray | None]], first_index: int, last_index: int
-):
+@functools.cache
+def _low_table(base: int, ndigits: int) -> np.ndarray:
+    """low[r] = rev_k(r) b^(K-k) for r < b^k, the k digits of the lowest
+    ``_digit_blocks`` block of K = ndigits; read-only and shared like them."""
+    size, rev = _digit_blocks(base, ndigits)[0]
+    low = (np.arange(size, dtype=np.int64) if rev is None else rev) * (base**ndigits // size)
+    low.flags.writeable = False
+    return low
+
+
+def _outer_sum_tables(base: int, ndigits: int, first_index: int, last_index: int):
     """(B, low, high) with rev_K(a B + r) = high[a - first_index // B] + low[r].
 
-    B = b^k is the size of the lowest digit block of ``blocks``; the k low
-    digits of an index become the k high digits of its reversal, so
-    low[r] = rev_k(r) b^(K-k) for r < B, and high holds rev_(K-k)(a) for the
-    quotients a of first_index .. last_index.  Both are exact int64 parts
-    of the same numerator the digit blocks build.
+    B = b^k is the size of the lowest ``_digit_blocks`` block of K = ndigits
+    base-b digits; the k low digits of an index become the k high digits of
+    its reversal, so low (the shared ``_low_table``) holds rev_k(r) b^(K-k)
+    for r < B, and high, built here, holds rev_(K-k)(a) for the quotients a
+    of first_index .. last_index.  Both are exact int64 parts of the same
+    numerator the digit blocks build.
     """
-    size, rev = blocks[0]
-    low = (np.arange(size, dtype=np.int64) if rev is None else rev) * (base**ndigits // size)
+    blocks = _digit_blocks(base, ndigits)
+    size = blocks[0][0]
     quotients = np.arange(first_index // size, last_index // size + 1, dtype=np.int64)
     high = _reversed_numerators(quotients, blocks[1:]) if len(blocks) > 1 else np.zeros_like(quotients)
-    return size, low, high
+    return size, _low_table(base, ndigits), high
 
 
-@functools.lru_cache(maxsize=_HALTON_PLANS)
 def _halton_plan(dim: int, first: int, last: int, leap: int) -> tuple:
     """Per prime base, (blocks, tables, base^K) for the Halton elements
     first, first + leap, ..., last.
@@ -185,8 +201,8 @@ def _halton_plan(dim: int, first: int, last: int, leap: int) -> tuple:
     K is the digit count of ``last`` in that base, ``blocks`` its
     ``_digit_blocks`` and, with leap 1, ``tables`` its ``_outer_sum_tables``
     over first .. last (None otherwise).  A plan holds tables only, never
-    points; it is cached because the estimator fills a chunk one row block
-    at a time, and every block of the chunk reads the same plan.
+    points.  Its digit tables and ``low`` tables are shared with every plan
+    of the same digit counts; only the quotient (``high``) tables are its own.
     """
     primes = _first_primes(dim)
     # The digit-reversed numerator stays below index * base, which must fit
@@ -199,9 +215,8 @@ def _halton_plan(dim: int, first: int, last: int, leap: int) -> tuple:
     plan = []
     for b in (int(p) for p in primes):
         ndigits = _digit_count(last, b)
-        blocks = _digit_blocks(b, ndigits)
-        tables = _outer_sum_tables(b, ndigits, blocks, first, last) if leap == 1 else None
-        plan.append((blocks, tables, float(b**ndigits)))
+        tables = _outer_sum_tables(b, ndigits, first, last) if leap == 1 else None
+        plan.append((_digit_blocks(b, ndigits), tables, float(b**ndigits)))
     return tuple(plan)
 
 
@@ -248,8 +263,8 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
     value is the exact integer numerator rev_K(index), the index's K base-b
     digits reversed, divided once by base^K.  The digits are reversed a
     block of up to k digits at a time (b^k <= _DIGIT_TABLE_SIZE) through
-    digit-reversal tables built once per plan, lowest block first:
-    num <- num * b^k + rev_k(rem mod b^k).  This builds the same exact
+    digit-reversal tables built once per base and digit count, lowest block
+    first: num <- num * b^k + rev_k(rem mod b^k).  This builds the same exact
     integer as a digit-by-digit loop, so the values do not depend on the
     table size.  While index * base < 2**53 both the numerator and base^K
     are exact doubles, so every value is the correctly rounded double of
@@ -376,14 +391,18 @@ class PointSource:
         No row before ``lo`` is generated.  Philox fills row-major, so the
         rows start at double lo * dimension of the chunk's stream: one
         counter skip of four doubles a step, then the rest drawn and
-        dropped.  Halton reads the cached plan of the whole chunk, whose
-        digit count comes from the chunk's last index, so every row has the
-        doubles of a whole-chunk build.
+        dropped.  Halton reads the plan of the whole chunk, whose digit
+        count comes from the chunk's last index, so every row has the
+        doubles of a whole-chunk build; each thread keeps the plan it read
+        last.
         """
         if self.kind == "halton":
             first = self.skip + self.leap * c * CHUNK_SIZE
-            plan = _halton_plan(self.dimension, first, first + self.leap * (CHUNK_SIZE - 1), self.leap)
-            _halton_fill(plan, first, first + self.leap * lo, self.leap, out)
+            key = (self.dimension, first, first + self.leap * (CHUNK_SIZE - 1), self.leap)
+            if getattr(_THREAD_PLAN, "key", None) != key:
+                _THREAD_PLAN.plan = _halton_plan(*key)
+                _THREAD_PLAN.key = key
+            _halton_fill(_THREAD_PLAN.plan, first, first + self.leap * lo, self.leap, out)
             return
         bit_generator = np.random.Philox(key=np.array([self.seed, c], dtype=np.uint64))
         skipped, dropped = divmod(lo * self.dimension, 4)
@@ -423,8 +442,7 @@ def _branch_probabilities(state: GaussianState) -> np.ndarray:
 
 class _BlockWorkspace:
     """Arrays for one block of up to ``rows`` samples of a d-dimensional
-    state: the block's uniforms, its standard normals, the sample
-    coordinates Q and P, and the branch centers of the Hermite assembly.
+    state: the block's uniforms and the sample coordinates Q and P.
 
     They are consecutive views of one float64 ``buffer`` of
     ``size(rows, d)`` entries (allocated when none is given).
@@ -432,15 +450,14 @@ class _BlockWorkspace:
 
     @staticmethod
     def size(rows: int, d: int) -> int:
-        return rows * (7 * d + 2)
+        return rows * (4 * d + 2)
 
     def __init__(self, rows: int, d: int, buffer: np.ndarray | None = None):
         if buffer is None:
             buffer = np.empty(self.size(rows, d))
-        ends = np.cumsum([rows * (2 * d + 2), rows * 2 * d, rows * d, rows * d])
-        uniforms, self.normals, Q, P, centers = np.split(buffer, ends)
+        uniforms, Q, P = np.split(buffer, np.cumsum([rows * (2 * d + 2), rows * d]))
         self.uniforms = uniforms.reshape(rows, 2 * d + 2)
-        self.Q, self.P, self.centers = (a.reshape(rows, d) for a in (Q, P, centers))
+        self.Q, self.P = Q.reshape(rows, d), P.reshape(rows, d)
 
 
 def _component_arrays(state: GaussianState, component: str, u: np.ndarray, work: _BlockWorkspace | None = None):
@@ -449,9 +466,12 @@ def _component_arrays(state: GaussianState, component: str, u: np.ndarray, work:
     Returns (Q, P, branch, plane) arrays; plane is -1 for the Husimi
     component and 0-based otherwise.  Every output row depends on its own
     uniform row only.  Q and P are views into ``work`` (a fresh workspace
-    of ``u``'s rows when none is given), valid until its next use; each
-    entry is rounded as center + sqrt(h) * normal (or center + polar
-    offset), whatever the order of the in-place steps.
+    of ``u``'s rows when none is given), valid until its next use.  The
+    normals are drawn straight into Q and P; once they are, the branch
+    centers are taken into the start of ``work``'s uniforms (which may be
+    ``u`` itself; a caller's ``u`` without a workspace stays unchanged) and
+    added from there.  Each entry is rounded as center + sqrt(h) * normal
+    (or center + polar offset), whatever the order of the in-place steps.
     """
     d, h = state.dim, state.h
     if u.shape[1] != 2 * d + 2:
@@ -467,34 +487,31 @@ def _component_arrays(state: GaussianState, component: str, u: np.ndarray, work:
     Q, P = work.Q[:count], work.P[:count]
     sqrt_h = np.sqrt(h)
     if component == "husimi":
-        g = ndtri(u[:, 2 : 2 * d + 2], out=work.normals[: count * 2 * d].reshape(count, 2 * d))
-        g *= sqrt_h
-        np.take(state.centers_q, branch, axis=0, out=Q, mode="clip")
-        np.take(state.centers_p, branch, axis=0, out=P, mode="clip")
-        Q += g[:, :d]
-        P += g[:, d:]
+        ndtri(u[:, 2 : d + 2], out=Q)
+        ndtri(u[:, d + 2 :], out=P)
+        Q *= sqrt_h
+        P *= sqrt_h
         plane = np.full(count, -1, dtype=np.int64)
-        return Q, P, branch, plane
-    if component != "hermite-mixture":
+    elif component == "hermite-mixture":
+        plane = np.minimum((u[:, 1] * d).astype(np.int64), d - 1)
+        theta = 2.0 * np.pi * u[:, 2]
+        radius = np.sqrt(2.0 * h * gamma2_inverse_cdf(u[:, 3]))
+        # The normals of the other planes fill the first d - 1 columns, in
+        # ascending plane order; those after the picked plane then move one
+        # column right, and the polar pair takes the picked column.
+        ndtri(u[:, 4 : d + 3], out=Q[:, : d - 1])
+        ndtri(u[:, d + 3 :], out=P[:, : d - 1])
+        Q[:, : d - 1] *= sqrt_h
+        P[:, : d - 1] *= sqrt_h
+        after = np.arange(1, d) > plane[:, None]
+        np.copyto(Q[:, 1:], Q[:, :-1], where=after)
+        np.copyto(P[:, 1:], P[:, :-1], where=after)
+        rows = np.arange(count)
+        Q[rows, plane] = radius * np.cos(theta)
+        P[rows, plane] = radius * np.sin(theta)
+    else:
         raise ValueError(f"unknown component {component!r}")
-    plane = np.minimum((u[:, 1] * d).astype(np.int64), d - 1)
-    theta = 2.0 * np.pi * u[:, 2]
-    radius = np.sqrt(2.0 * h * gamma2_inverse_cdf(u[:, 3]))
-    if d > 1:
-        # The q and p normals of the other planes, each block C-ordered so
-        # that the mask scatter reads it without a copy.
-        size = count * (d - 1)
-        gq = ndtri(u[:, 4 : d + 3], out=work.normals[:size].reshape(count, d - 1))
-        gp = ndtri(u[:, d + 3 : 2 * d + 2], out=work.normals[size : 2 * size].reshape(count, d - 1))
-        gq *= sqrt_h
-        gp *= sqrt_h
-        others = np.arange(d)[None, :] != plane[:, None]
-        Q[others] = gq.ravel()
-        P[others] = gp.ravel()
-    rows = np.arange(count)
-    Q[rows, plane] = radius * np.cos(theta)
-    P[rows, plane] = radius * np.sin(theta)
-    centers = work.centers[:count]
+    centers = work.uniforms.reshape(-1)[: count * d].reshape(count, d)
     Q += np.take(state.centers_q, branch, axis=0, out=centers, mode="clip")
     P += np.take(state.centers_p, branch, axis=0, out=centers, mode="clip")
     return Q, P, branch, plane

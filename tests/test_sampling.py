@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from phasespec import (
     state_norm2,
     weyl_expectation_gaussian,
 )
+from phasespec.core import _BLOCK_ROWS
 from phasespec.observables import (
     HenonHeilesSpec,
     Observable,
@@ -152,6 +154,60 @@ class TestHaltonDigitBlocks:
             block = source.uniform_block(start, count)
             assert block.dtype == np.float64 and block.flags.c_contiguous
             assert block.shape == (count, 18)
+
+    def test_chunk_plans_share_read_only_digit_tables(self):
+        from phasespec import sampling
+
+        first = [1000 + c * CHUNK_SIZE for c in (3, 4)]
+        plans = [sampling._halton_plan(66, f, f + CHUNK_SIZE - 1, 1) for f in first]
+        shared = 0
+        for (blocks_a, (_, low_a, high_a), scale_a), (blocks_b, (_, low_b, high_b), scale_b) in zip(*plans):
+            assert high_a is not high_b
+            if scale_a != scale_b:
+                continue
+            shared += 1
+            assert blocks_a is blocks_b and low_a is low_b
+            for table in [low_a] + [rev for _, rev in blocks_a if rev is not None]:
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1
+        # every base but a few crossing a digit-count edge
+        assert shared >= 60
+
+
+class TestHaltonPlanPerThread:
+    def test_one_plan_per_chunk_task_at_any_worker_count(self, monkeypatch):
+        # more chunk tasks than workers, and more than any small plan cache
+        from phasespec import sampling
+
+        build = sampling._halton_plan
+        calls = []
+
+        def counting(*key):
+            calls.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(sampling, "_halton_plan", counting)
+        spec = HenonHeilesSpec(d=2)
+        state, total = spec.benchmark_state(), henon_heiles_total(spec)
+        n = 8 * CHUNK_SIZE + 1000
+        n_h = n // 2
+        tasks = len(sampling._chunk_ranges(0, n_h)) + len(sampling._chunk_ranges(n_h, n))
+        source = PointSource(dimension=6, kind="halton", skip=77)
+        bits = []
+        # frequent thread switches, so the workers interleave inside the
+        # shared digit-table caches and their own plans
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 8):
+                calls.clear()
+                got = estimate_expectation(state, total, n=n, source=source, workers=workers)
+                assert 0 < len(calls) <= tasks
+                bits.append(np.array([got.value, got.mean_husimi, got.mean_hermite]).view(np.int64))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(b, bits[0]) for b in bits[1:])
 
 
 class TestInverseNormalCdf:
@@ -499,6 +555,18 @@ class TestComponentArrays:
         st = GaussianState.wavepacket(0.1, [0.0], [0.0])
         with pytest.raises(ValueError):
             component_draws(st, "wigner", 10, PointSource(dimension=4, seed=0))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_caller_uniforms_unchanged_without_workspace(self, d):
+        # the branch centers go into the workspace's spent uniforms, never
+        # into the caller's array
+        rng = np.random.default_rng(d)
+        st = GaussianState(0.05, [1.0, 0.5j], rng.normal(size=(2, d)), rng.normal(size=(2, d)))
+        u = PointSource(dimension=2 * d + 2, seed=12).uniform_block(0, 300)
+        before = u.copy()
+        for component in ("husimi", "hermite-mixture"):
+            _component_arrays(st, component, u)
+            assert np.array_equal(u.view(np.int64), before.view(np.int64))
 
 
 class TestEstimator:
@@ -963,3 +1031,28 @@ class TestBlockMemory:
             tracemalloc.stop()
         # one (CHUNK_SIZE, 66) chunk of uniforms is 16.5 MiB
         assert peak < CHUNK_SIZE * 66 * 8
+
+    @pytest.mark.parametrize("d", [32, 128])
+    @pytest.mark.parametrize("kind", ["pseudo-random", "halton"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_peak_of_lean_blocks(self, d, kind, workers):
+        import tracemalloc
+
+        # A worker's block holds 4d + 2 doubles a row (uniforms, Q and P);
+        # with the observable's temporaries an estimate peaked at 6.2-6.8 d
+        # doubles a block row per worker, plus up to 1.8 d with Halton plans.
+        # A (7d + 2)-double block with separate normals and centers peaked at
+        # 8.3-9.8 d per worker, plus 2.3-2.9 d with Halton plans.
+        spec = HenonHeilesSpec(d=d)
+        state = spec.benchmark_state()
+        total = henon_heiles_total(spec)
+        # a skip of its own per case, so no earlier case's chunk plan is reused
+        source = PointSource(dimension=2 * d + 2, kind=kind, seed=4, skip=1000 + d + workers)
+        tracemalloc.start()
+        try:
+            estimate_expectation(state, total, n=2 * CHUNK_SIZE, source=source, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_row = 7.75 * d * workers + (2.5 * d if kind == "halton" else 0.0)
+        assert peak < _BLOCK_ROWS * 8 * per_row
