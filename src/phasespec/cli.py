@@ -47,7 +47,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampler", choices=("mc", "halton"), default=None)
     parser.add_argument("--seed", type=int, default=None, help="pseudo-random seed")
     parser.add_argument("--skip", type=int, default=None, help="Halton skip (first element index)")
-    parser.add_argument("--leap", type=int, default=None, help="Halton leap (index stride)")
     parser.add_argument("--split", type=float, default=None, help="Husimi point fraction (mu method)")
     parser.add_argument("--method", choices=("mu", "husimi"), default=None)
     parser.add_argument("--observable", default=None, help="observable label")
@@ -131,7 +130,6 @@ def main(argv=None) -> int:
                 kwargs["h_list"] = config.h_list
             if config.sampler is not None:
                 # demonstration mode: sampled estimates instead of grid quadrature
-                kwargs["use_sampler"] = True
                 kwargs["sampler_config"] = config
             table = run_accuracy_sweep(
                 points_per_axis=config.points_per_axis,
@@ -146,7 +144,6 @@ def main(argv=None) -> int:
                 sampler=config.sampler or "halton",
                 seed=config.seed,
                 skip=config.skip,
-                leap=config.leap,
                 split=config.split,
                 alpha=config.alpha,
                 h=config.h if config.h is not None else 0.0037,

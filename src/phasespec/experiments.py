@@ -126,7 +126,6 @@ class RunConfig:
     sampler: Optional[str] = None  # 'mc' (pseudo-random, default) or 'halton'
     seed: int = 0
     skip: int = 1000
-    leap: int = 1
     split: float = 0.5
     method: str = "mu"
     observable: Optional[str] = None
@@ -164,9 +163,7 @@ class RunConfig:
 
     def point_source(self, dimension: int) -> PointSource:
         kind = "halton" if self.sampler == "halton" else "pseudo-random"
-        return PointSource(
-            dimension=dimension, kind=kind, seed=self.seed, skip=self.skip, leap=self.leap
-        )
+        return PointSource(dimension=dimension, kind=kind, seed=self.seed, skip=self.skip)
 
     def resolved_n(self, default: int = 100_000) -> int:
         return default if self.n is None else int(self.n)
@@ -402,7 +399,6 @@ def run_accuracy_sweep(
     observable_labels=("torsional", "quartic-momentum"),
     points_per_axis: int = 160,
     reference_resolution: int = 2048,  # accepted and ignored: a benchmark self-test still passes it
-    use_sampler: bool = False,
     sampler_config: RunConfig | None = None,
     force: bool = False,
 ) -> SweepResult:
@@ -410,8 +406,10 @@ def run_accuracy_sweep(
     density, swept over h, with fitted log-log slopes per (method,
     observable).
 
-    Estimates use full tensor-grid quadrature (interference included); the
-    reference is the exact :func:`weyl_expectation_gaussian`.  Slopes are
+    Estimates use full tensor-grid quadrature (interference included), or,
+    given a ``sampler_config``, the exact-policy sampling estimator with its
+    stream, n, split and workers; the reference is the exact
+    :func:`weyl_expectation_gaussian`.  Slopes are
     reported only for at least two distinct h and when every error in the fit
     exceeds 10x the estimated quadrature (or sampling) noise floor.  The
     projected cost of the quadrature (or of the sampled estimates) is checked
@@ -421,7 +419,7 @@ def run_accuracy_sweep(
     h_list = sorted({float(h) for h in h_list}, reverse=True)
     if any(h <= 0 for h in h_list):
         raise ValueError("h values must be positive")
-    cfg = sampler_config or RunConfig()
+    use_sampler = sampler_config is not None
     states = [benchmark_superposition(h) for h in h_list]
     # entries may be labels or d -> Observable factories (e.g. degree-<=3
     # polynomial control rows, whose mu error sits at the quadrature floor)
@@ -434,13 +432,14 @@ def run_accuracy_sweep(
     ]
     # sampler mode reads one stream per (h, method) for all observables; grid
     # mode makes one tensor-grid call per h for every (method, observable)
-    n_streams = len(methods) if use_sampler else 0
-    projected = sum(
-        n_streams * projected_seconds(cfg.resolved_n(), st.dim, weighted=True)
-        + (0.0 if use_sampler else _projected_tensor_grid_seconds(points_per_axis, st, obs))
-        for st, obs in zip(states, observable_sets)
-    )
-    if not use_sampler:
+    if use_sampler:
+        n = sampler_config.resolved_n()
+        projected = sum(len(methods) * projected_seconds(n, st.dim, weighted=True) for st in states)
+    else:
+        projected = sum(
+            _projected_tensor_grid_seconds(points_per_axis, st, obs)
+            for st, obs in zip(states, observable_sets)
+        )
         _require_grid("points_per_axis", points_per_axis)
     _require_budget(projected, force)
     rows = []
@@ -465,14 +464,14 @@ def run_accuracy_sweep(
                     state,
                     observables,
                     method=method,
-                    n=cfg.resolved_n(),
-                    source=cfg.point_source(2 * state.dim + 2),
-                    split=cfg.split,
+                    n=n,
+                    source=sampler_config.point_source(2 * state.dim + 2),
+                    split=sampler_config.split,
                     policy=CrossTermPolicy(mode="exact"),
-                    workers=cfg.workers,
+                    workers=sampler_config.workers,
                 )
                 wall = time.perf_counter() - t0
-                outcomes = [(r.value, 3.0 * r.stderr + 1e-12, cfg.resolved_n(), wall) for r in results]
+                outcomes = [(r.value, 3.0 * r.stderr + 1e-12, n, wall) for r in results]
             else:
                 n_used = points_per_axis ** (2 * state.dim)
                 outcomes = [
@@ -522,7 +521,6 @@ def run_henon_heiles(
     sampler: str = "halton",
     seed: int = 0,
     skip: int = 1000,
-    leap: int = 1,
     split: float = 0.5,
     alpha: float = 1.8436,
     h: float = 0.0037,
@@ -539,7 +537,7 @@ def run_henon_heiles(
     if any(d < 2 or d > 128 for d in d_list):
         raise ValueError("d_list entries must lie in 2..128")
     check_resource_budget(n, d_list, force)
-    stream = RunConfig(sampler=sampler, seed=seed, skip=skip, leap=leap)
+    stream = RunConfig(sampler=sampler, seed=seed, skip=skip)
     rows = []
     generator = None
     for d in sorted(d_list):

@@ -17,10 +17,10 @@ absolute index.  Pseudo-random streams use the counter-based philox4x64
 generator (period 2^256): point indices are grouped into fixed chunks of
 ``CHUNK_SIZE`` and chunk c is generated with key (seed, c), so any
 sub-range of the stream is a pure function of (seed, index) alone.  Halton
-streams use element indices skip + leap * i with one prime base per
-coordinate.  The estimator consumes indices [0, n_husimi) for the Husimi
-component and [n_husimi, n) for the Hermite component, accumulates per-chunk
-partial sums, and reduces them over a fixed pairwise tree, so results are
+streams use element indices skip + i with one prime base per coordinate.
+The estimator consumes indices [0, n_husimi) for the Husimi component and
+[n_husimi, n) for the Hermite component, accumulates per-chunk partial
+sums, and reduces them over a fixed pairwise tree, so results are
 bit-identical for any worker count.
 
 The estimator streams each chunk ``_BLOCK_ROWS`` rows at a time: it reads
@@ -31,8 +31,8 @@ observables (and, when the policy needs them, the importance weights, from
 one overlap table in ``_importance_weights``), so no array of a whole
 chunk's uniforms is built and the temporaries stay in cache.  A source
 serves any row range of a chunk without generating the rows before it; a
-Halton chunk plan keeps only its own quotient tables and shares its digit
-tables with every plan of the same digit counts.  Every sample
+Halton chunk plan keeps only its own quotient tables and shares its
+low-digit tables with every plan of the same digit counts.  Every sample
 depends on its own uniform row only, and the chunk sums are taken over the
 whole chunk after the last block, so the row blocking leaves the sums
 unchanged.
@@ -124,159 +124,104 @@ def _digit_count(hi: int, base: int) -> int:
 
 
 @functools.cache
-def _digit_blocks(base: int, ndigits: int) -> tuple[tuple[int, np.ndarray | None], ...]:
-    """Split ndigits base-b digits into blocks, lowest digits first.
-
-    Each block is (b^m, rev_m) with rev_m[j] the m-digit reversal of
-    j < b^m; a one-digit block has no table, as a digit is its own
-    reversal.  Every block but the last has the largest m with
-    b^m <= _DIGIT_TABLE_SIZE (m >= 1); the last holds the remaining digits.
-    Built once per (base, ndigits) and shared, so the tables are read-only.
-    """
-    full = 1
-    while base ** (full + 1) <= _DIGIT_TABLE_SIZE:
-        full += 1
-    n_full, last = divmod(ndigits, full)
-    if last == 0:
-        n_full, last = n_full - 1, full
-    tables = [None]
-    rev = np.arange(base, dtype=np.int64)
-    for m in range(2, full + 1):
-        # j = a + b j' with low digit a: rev_m(j) = a b^(m-1) + rev_(m-1)(j')
-        rev = (rev[:, None] + np.arange(base, dtype=np.int64) * base ** (m - 1)).ravel()
-        rev.flags.writeable = False
-        tables.append(rev)
-    return ((base**full, tables[full - 1]),) * n_full + ((base**last, tables[last - 1]),)
-
-
-def _reversed_numerators(idx: np.ndarray, blocks: Sequence[tuple[int, np.ndarray | None]]) -> np.ndarray:
-    """The digit-reversed integers rev_K(idx) over the K digits of ``blocks``.
-
-    Each block but the last peels its digits off with one scalar floor
-    division (several times faster than ``%`` or ``np.divmod`` on int64);
-    the last block's remainder is already below its size.
-    """
-    num = 0
-    rem = idx
-    for size, rev in blocks[:-1]:
-        quot = rem // size
-        digits = rem - quot * size
-        num = num * size + (digits if rev is None else rev[digits])
-        rem = quot
-    size, rev = blocks[-1]
-    return num * size + (rem if rev is None else rev[rem])
-
-
-@functools.cache
 def _low_table(base: int, ndigits: int) -> np.ndarray:
-    """low[r] = rev_k(r) b^(K-k) for r < b^k, the k digits of the lowest
-    ``_digit_blocks`` block of K = ndigits; read-only and shared like them."""
-    size, rev = _digit_blocks(base, ndigits)[0]
-    low = (np.arange(size, dtype=np.int64) if rev is None else rev) * (base**ndigits // size)
+    """low[r] = rev_k(r) b^(K-k) for r < B = b^k, with K = ndigits and k the
+    largest digit count (at least 1) with b^k <= _DIGIT_TABLE_SIZE and k <= K.
+
+    rev_m(j) is j's m base-b digits reversed: over j = a + b j' with low
+    digit a, rev_(m+1)(j) = a b^m + rev_m(j').  The k low digits of an index
+    become the k high digits of its reversal.  Built once per (base,
+    ndigits) and shared by every plan, so it is read-only.
+    """
+    rev = np.arange(base, dtype=np.int64)
+    k = 1
+    while k < ndigits and base ** (k + 1) <= _DIGIT_TABLE_SIZE:
+        rev = (rev[:, None] + np.arange(base, dtype=np.int64) * base**k).ravel()
+        k += 1
+    low = rev * base ** (ndigits - k)
     low.flags.writeable = False
     return low
 
 
-def _outer_sum_tables(base: int, ndigits: int, first_index: int, last_index: int):
-    """(B, low, high) with rev_K(a B + r) = high[a - first_index // B] + low[r].
+def _halton_plan(dim: int, first: int, last: int) -> tuple:
+    """Per prime base, (B, low, high, base^K) for the Halton elements
+    first .. last, with rev_K(a B + r) = high[a - first // B] + low[r].
 
-    B = b^k is the size of the lowest ``_digit_blocks`` block of K = ndigits
-    base-b digits; the k low digits of an index become the k high digits of
-    its reversal, so low (the shared ``_low_table``) holds rev_k(r) b^(K-k)
-    for r < B, and high, built here, holds rev_(K-k)(a) for the quotients a
-    of first_index .. last_index.  Both are exact int64 parts of the same
-    numerator the digit blocks build.
-    """
-    blocks = _digit_blocks(base, ndigits)
-    size = blocks[0][0]
-    quotients = np.arange(first_index // size, last_index // size + 1, dtype=np.int64)
-    high = _reversed_numerators(quotients, blocks[1:]) if len(blocks) > 1 else np.zeros_like(quotients)
-    return size, _low_table(base, ndigits), high
-
-
-def _halton_plan(dim: int, first: int, last: int, leap: int) -> tuple:
-    """Per prime base, (blocks, tables, base^K) for the Halton elements
-    first, first + leap, ..., last.
-
-    K is the digit count of ``last`` in that base, ``blocks`` its
-    ``_digit_blocks`` and, with leap 1, ``tables`` its ``_outer_sum_tables``
-    over first .. last (None otherwise).  A plan holds tables only, never
-    points.  Its digit tables and ``low`` tables are shared with every plan
-    of the same digit counts; only the quotient (``high``) tables are its own.
+    K is the digit count of ``last`` in that base and ``low`` its shared
+    ``_low_table`` of B = b^k entries; ``high``, the plan's own, holds
+    rev_(K-k)(a) for the quotients a of first .. last by B.  Both are exact
+    int64 parts of the numerator.  A plan holds tables only, never points.
     """
     primes = _first_primes(dim)
-    # The digit-reversed numerator stays below index * base, which must fit
-    # in int64.
-    if last * int(primes[-1]) >= 2**63:
+    # Below 2**53 the numerators, which stay below index * base, and base^K
+    # are exact doubles.
+    if last * int(primes[-1]) >= 2**53:
         raise ValueError(
             f"Halton index bound exceeded: element index {last} times prime base "
-            f"{int(primes[-1])} must stay below 2**63"
+            f"{int(primes[-1])} must stay below 2**53"
         )
     plan = []
     for b in (int(p) for p in primes):
         ndigits = _digit_count(last, b)
-        tables = _outer_sum_tables(b, ndigits, first, last) if leap == 1 else None
-        plan.append((_digit_blocks(b, ndigits), tables, float(b**ndigits)))
+        low = _low_table(b, ndigits)
+        size = low.shape[0]
+        quot = np.arange(first // size, last // size + 1, dtype=np.int64)
+        # the K - k digits of each quotient, lowest first (B has k digits);
+        # after K - k - 1 divisions the quotient is its last digit
+        high = 0
+        for _ in range(ndigits - _digit_count(size - 1, b) - 1):
+            quot, digit = np.divmod(quot, b)
+            high = high * b + digit
+        high = high * b + quot
+        plan.append((size, low, high, float(b**ndigits)))
     return tuple(plan)
 
 
-def _halton_fill(plan: tuple, first: int, start: int, leap: int, out: np.ndarray) -> None:
-    """Write the elements start, start + leap, ... into the rows of ``out``.
+def _halton_fill(plan: tuple, first: int, start: int, out: np.ndarray) -> None:
+    """Write the elements start, start + 1, ... into the rows of ``out``.
 
     ``plan`` is the ``_halton_plan`` of a range first .. last that holds
     these elements.  Each base's numerators go straight into their column,
-    ``_HALTON_ROWS`` rows at a time, so the writes stay in cache.  With
-    leap 1 the numerators of a row block are high[a] + low[r] over the
-    quotients a and remainders r of index = a b^k + r: one or two slices of
-    low when b^k >= rows, else one outer sum.
+    ``_HALTON_ROWS`` rows at a time, so the writes stay in cache.  The
+    numerators of a row block are high[a] + low[r] over the quotients a and
+    remainders r of index = a B + r: one or two slices of low when B >= rows,
+    else one outer sum.
     """
     num = np.empty(min(out.shape[0], _HALTON_ROWS), dtype=np.int64)
     for lo in range(0, out.shape[0], _HALTON_ROWS):
         block = out[lo : lo + _HALTON_ROWS]
         rows = block.shape[0]
-        head = start + leap * lo
-        idx = None if leap == 1 else head + leap * np.arange(rows, dtype=np.int64)
-        for col, (blocks, tables, scale) in enumerate(plan):
-            if tables is None:
-                values = _reversed_numerators(idx, blocks)
+        for col, (size, low, high, scale) in enumerate(plan):
+            a, r = divmod(start + lo, size)
+            a -= first // size
+            if size >= rows:
+                values = num[:rows]
+                split = min(size - r, rows)
+                np.add(high[a], low[r : r + split], out=values[:split])
+                if split < rows:
+                    np.add(high[a + 1], low[: rows - split], out=values[split:])
             else:
-                size, low, high = tables
-                a, r = divmod(head, size)
-                a -= first // size
-                if size >= rows:
-                    values = num[:rows]
-                    split = min(size - r, rows)
-                    np.add(high[a], low[r : r + split], out=values[:split])
-                    if split < rows:
-                        np.add(high[a + 1], low[: rows - split], out=values[split:])
-                else:
-                    touched = (r + rows - 1) // size + 1
-                    values = (high[a : a + touched, None] + low).ravel()[r : r + rows]
+                touched = (r + rows - 1) // size + 1
+                values = (high[a : a + touched, None] + low).ravel()[r : r + rows]
             np.divide(values, scale, out=block[:, col])
 
 
-def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
-    """Elements skip, skip+leap, ..., of the Halton sequence in (0, 1)^dim.
+def halton_points(n: int, dim: int, skip: int) -> np.ndarray:
+    """Elements skip, skip+1, ..., skip+n-1 of the Halton sequence in (0, 1)^dim.
 
     Coordinate i uses the van der Corput radical inverse in the i-th prime
     base.  Every base uses the digit count K of the last index, and each
     value is the exact integer numerator rev_K(index), the index's K base-b
-    digits reversed, divided once by base^K.  The digits are reversed a
-    block of up to k digits at a time (b^k <= _DIGIT_TABLE_SIZE) through
-    digit-reversal tables built once per base and digit count, lowest block
-    first: num <- num * b^k + rev_k(rem mod b^k).  This builds the same exact
-    integer as a digit-by-digit loop, so the values do not depend on the
-    table size.  While index * base < 2**53 both the numerator and base^K
+    digits reversed, divided once by base^K.  An index a B + r with
+    B = b^k <= _DIGIT_TABLE_SIZE has the numerator
+    rev_k(r) b^(K-k) + rev_(K-k)(a), as its k low digits become the high
+    digits of its reversal: a row block adds slices of a table over r (see
+    ``_low_table``) to the few high-digit reversals of its quotients a.
+    This builds the same exact integer as a digit-by-digit loop, so the
+    values do not depend on the table size.  Both the numerator and base^K
     are exact doubles, so every value is the correctly rounded double of
-    the exact rational; beyond that (up to the int64 bound checked below)
-    base^K is rounded and a value may be off by an ulp.  Element index 0 is
-    the degenerate all-zero point, so callers should use skip >= 1.
-
-    With leap 1 the indices are consecutive, so the numerators of a row
-    block come from sums high[a] + low[r] over the quotients a and
-    remainders r of index = a b^k + r (see ``_outer_sum_tables``): the
-    same exact integers as the digit blocks, hence the same doubles.  Other
-    leaps peel each index's digit blocks.
+    the exact rational.  Element index 0 is the degenerate all-zero point,
+    so callers should use skip >= 1.
 
     Parameters
     ----------
@@ -286,22 +231,20 @@ def halton_points(n: int, dim: int, skip: int, leap: int = 1) -> np.ndarray:
         Number of coordinates.
     skip : int
         Index of the first element (>= 1 recommended).
-    leap : int
-        Stride between consecutive element indices.
 
-    Indices are exact int64 integers: the last index times the largest
-    prime base in use must stay below 2**63, or a ValueError is raised.
-    The result is a C-contiguous (n, dim) float64 array, filled by
-    ``_halton_fill`` from the ``_halton_plan`` of skip .. last index.
+    The last index times the largest prime base in use must stay below
+    2**53, or a ValueError is raised.  The result is a C-contiguous
+    (n, dim) float64 array, filled by ``_halton_fill`` from the
+    ``_halton_plan`` of skip .. last index.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if n < 0 or skip < 0 or leap < 1:
-        raise ValueError("need n >= 0, skip >= 0, leap >= 1")
-    dim, skip, leap = operator.index(dim), operator.index(skip), operator.index(leap)
-    plan = _halton_plan(dim, skip, skip + leap * max(int(n) - 1, 0), leap)
+    if n < 0 or skip < 0:
+        raise ValueError("need n >= 0, skip >= 0")
+    dim, skip = operator.index(dim), operator.index(skip)
+    plan = _halton_plan(dim, skip, skip + max(int(n) - 1, 0))
     out = np.empty((n, dim))
-    _halton_fill(plan, skip, skip, leap, out)
+    _halton_fill(plan, skip, skip, out)
     return out
 
 
@@ -350,19 +293,18 @@ class PointSource:
     ``kind='pseudo-random'`` uses philox4x64 with per-chunk keys (seed, c)
     as documented in the module docstring; exact zeros in a chunk are
     replaced by 2^-54 so downstream quantile transforms stay finite.
-    ``kind='halton'`` uses element indices skip + leap * i.
+    ``kind='halton'`` uses element indices skip + i.
     """
 
     dimension: int
     kind: str = "pseudo-random"
     seed: int = 0
     skip: int = 1000
-    leap: int = 1
 
     def __post_init__(self):
         if self.kind not in ("pseudo-random", "halton"):
             raise ValueError(f"unknown point source kind {self.kind!r}")
-        for name in ("dimension", "seed", "skip", "leap"):
+        for name in ("dimension", "seed", "skip"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -372,8 +314,8 @@ class PointSource:
             raise ValueError("dimension must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.skip < 1 or self.leap < 1:
-            raise ValueError("need skip >= 1 and leap >= 1")
+        if self.skip < 1:
+            raise ValueError("need skip >= 1")
 
     @property
     def deterministic(self) -> bool:
@@ -382,7 +324,7 @@ class PointSource:
     @property
     def generator_id(self) -> str:
         if self.kind == "halton":
-            return f"halton(dim={self.dimension},skip={self.skip},leap={self.leap})"
+            return f"halton(dim={self.dimension},skip={self.skip})"
         return f"philox4x64(seed={self.seed},key=(seed,chunk),chunk_size={CHUNK_SIZE})"
 
     def _fill(self, c: int, lo: int, out: np.ndarray) -> None:
@@ -397,12 +339,12 @@ class PointSource:
         last.
         """
         if self.kind == "halton":
-            first = self.skip + self.leap * c * CHUNK_SIZE
-            key = (self.dimension, first, first + self.leap * (CHUNK_SIZE - 1), self.leap)
+            first = self.skip + c * CHUNK_SIZE
+            key = (self.dimension, first, first + CHUNK_SIZE - 1)
             if getattr(_THREAD_PLAN, "key", None) != key:
                 _THREAD_PLAN.plan = _halton_plan(*key)
                 _THREAD_PLAN.key = key
-            _halton_fill(_THREAD_PLAN.plan, first, first + self.leap * lo, self.leap, out)
+            _halton_fill(_THREAD_PLAN.plan, first, first + lo, out)
             return
         bit_generator = np.random.Philox(key=np.array([self.seed, c], dtype=np.uint64))
         skipped, dropped = divmod(lo * self.dimension, 4)

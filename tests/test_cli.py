@@ -170,6 +170,16 @@ class TestExpectationCommand:
         assert main(["expectation", "--config", str(path)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_leap_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["henon-heiles", "--d-list", "2", "--n", "1000", "--leap", "2"])
+        assert exit_info.value.code == 2
+        # an older run's config_json carries "leap": 1
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"observable": "torsional", "n": 1000, "sampler": "halton", "leap": 1}))
+        assert main(["expectation", "--config", str(path)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
     def test_resource_guard_exits_3(self, capsys):
         code = main(
             ["expectation", "--observable", "hh-total", "--d", "64", "--n", "1000000000"]
@@ -595,7 +605,6 @@ _FUZZ_FIELDS = {
     "sampler": strategies.sampled_from(["mc", "halton", "sobol"]),
     "seed": strategies.one_of(strategies.integers(-2, 2**64 + 2), strategies.just(0)),
     "skip": strategies.one_of(strategies.integers(-2, 10**4), strategies.just(2**62)),
-    "leap": strategies.one_of(strategies.integers(-1, 10**6), strategies.just(2**62)),
     "split": _fuzz_float(),
     "method": strategies.sampled_from(["mu", "husimi", "wigner"]),
     "observable": strategies.sampled_from(["torsional", "quartic-momentum", "hh-kinetic", "hh-total", "nope"]),
@@ -624,7 +633,7 @@ def _fuzz_config(draw):
         right = draw(strategies.sampled_from([True, True, True, True, False]))
         config[key] = draw(_FUZZ_FIELDS[key] if right or key in ("n", "d", "workers") else _wrong_type())
     if draw(strategies.sampled_from([False] * 9 + [True])):
-        config[draw(strategies.sampled_from(["reference_resolution", "threshold", "resolution", "D"]))] = 2048
+        config[draw(strategies.sampled_from(["reference_resolution", "threshold", "leap", "resolution", "D"]))] = 2048
     return config
 
 

@@ -367,9 +367,7 @@ class TestSharedEstimates:
         from phasespec.sampling import estimate_expectation
 
         cfg = RunConfig(sampler="mc", n=4000, seed=3)
-        res = run_accuracy_sweep(
-            h_list=(0.1,), use_sampler=True, sampler_config=cfg
-        )
+        res = run_accuracy_sweep(h_list=(0.1,), sampler_config=cfg)
         state = benchmark_superposition(0.1)
         for i, (method, label, estimate) in enumerate(
             zip(res.column("method"), res.column("observable"), res.column("estimate"))

@@ -14,7 +14,7 @@ from phasespec.experiments import run_henon_heiles
 from phasespec.observables import HenonHeilesSpec, henon_heiles_total
 
 # (d, observable) -> (estimate, reference) of run_henon_heiles(d_list=(2, 8),
-# n=2**15, sampler="halton") with the default skip, leap and split.
+# n=2**15, sampler="halton") with the default skip and split.
 HENON_HEILES_HALTON = {
     (2, "hh-kinetic"): ("0x1.00ec696cf0eddp-1", "0x1.00f27bb2fec56p-1"),
     (2, "hh-potential"): ("0x1.8da1597915cc2p-3", "0x1.8dc8f4f7ae638p-3"),

@@ -68,11 +68,6 @@ class TestHalton:
                 got = halton_points(1, dim_i + 1, skip=int(idx))[0, dim_i]
                 assert got == exact_radical_inverse(int(idx), int(base))
 
-    def test_leap(self):
-        leaped = halton_points(3, 1, skip=1, leap=4)
-        direct = [exact_radical_inverse(i, 2) for i in (1, 5, 9)]
-        assert leaped[:, 0].tolist() == direct
-
     def test_values_in_open_interval(self):
         pts = halton_points(500, 6, skip=1)
         assert np.all((pts > 0.0) & (pts < 1.0))
@@ -93,22 +88,21 @@ class TestHaltonDigitBlocks:
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(
         dim=strategies.integers(1, 70),
-        leap=strategies.integers(1, 10**6),
         n=strategies.integers(1, 10**4),
         data=strategies.data(),
     )
-    def test_matches_digit_loop_and_exact_rationals(self, dim, leap, n, data):
+    def test_matches_digit_loop_and_exact_rationals(self, dim, n, data):
         primes = [int(b) for b in _first_primes(dim)]
         # keep every index * base below 2**53, where the values are exact
-        skip = data.draw(strategies.integers(0, (2**53 - 1) // primes[-1] - leap * (n - 1)))
-        pts = halton_points(n, dim, skip=skip, leap=leap)
-        want = halton_digit_loop(n, dim, skip, leap)
+        skip = data.draw(strategies.integers(0, (2**53 - 1) // primes[-1] - (n - 1)))
+        pts = halton_points(n, dim, skip=skip)
+        want = halton_digit_loop(n, dim, skip)
         assert np.array_equal(pts.view(np.int64), want.view(np.int64))
         # first and last rows, both sides of each row-block edge, and a draw
         rows = {0, n - 1, data.draw(strategies.integers(0, n - 1))}
         rows |= {r for edge in range(4096, n, 4096) for r in (edge - 1, edge)}
         for r in sorted(rows):
-            index = skip + leap * r
+            index = skip + r
             assert pts[r].tolist() == [exact_radical_inverse(index, b) for b in primes]
 
     def test_digit_count_boundaries(self):
@@ -126,8 +120,8 @@ class TestHaltonDigitBlocks:
                 k += 1
 
     @pytest.mark.parametrize("base", [2, 3, 67, 313])
-    def test_leap_one_outer_sums_at_digit_edges(self, base):
-        # leap 1 builds numerators as high[a] + low[r] for index a b^k + r;
+    def test_outer_sums_at_digit_edges(self, base):
+        # numerators are high[a] + low[r] for index a b^k + r;
         # skips at b^k - 1 and b^k start on both sides of a digit-count
         # edge, and two 4096-row blocks cross low-block edges (b^k <= 4096)
         primes = [int(b) for b in _first_primes(70)]
@@ -136,7 +130,7 @@ class TestHaltonDigitBlocks:
         k = 0
         while (base**k + n) * base < 2**53:
             for skip in (base**k - 1, base**k):
-                pts = halton_points(n, dim, skip=skip, leap=1)
+                pts = halton_points(n, dim, skip=skip)
                 want = halton_digit_loop(n, dim, skip)
                 assert np.array_equal(pts.view(np.int64), want.view(np.int64))
             k += 1
@@ -159,18 +153,18 @@ class TestHaltonDigitBlocks:
         from phasespec import sampling
 
         first = [1000 + c * CHUNK_SIZE for c in (3, 4)]
-        plans = [sampling._halton_plan(66, f, f + CHUNK_SIZE - 1, 1) for f in first]
+        plans = [sampling._halton_plan(66, f, f + CHUNK_SIZE - 1) for f in first]
         shared = 0
-        for (blocks_a, (_, low_a, high_a), scale_a), (blocks_b, (_, low_b, high_b), scale_b) in zip(*plans):
+        for (_, low_a, high_a, scale_a), (_, low_b, high_b, scale_b), base in zip(*plans, _first_primes(66)):
             assert high_a is not high_b
             if scale_a != scale_b:
                 continue
             shared += 1
-            assert blocks_a is blocks_b and low_a is low_b
-            for table in [low_a] + [rev for _, rev in blocks_a if rev is not None]:
-                assert not table.flags.writeable
-                with pytest.raises(ValueError):
-                    table[0] = 1
+            ndigits = sampling._digit_count(first[1] + CHUNK_SIZE - 1, int(base))
+            assert low_a is low_b is sampling._low_table(int(base), ndigits)
+            assert not low_a.flags.writeable
+            with pytest.raises(ValueError):
+                low_a[0] = 1
         # every base but a few crossing a digit-count edge
         assert shared >= 60
 
@@ -398,12 +392,11 @@ class TestPointSource:
     @given(
         kind=strategies.sampled_from(["pseudo-random", "halton"]),
         dim=strategies.integers(1, 8),
-        leap=strategies.integers(1, 10),
         start=strategies.integers(0, 2 * CHUNK_SIZE),
         count=strategies.integers(0, CHUNK_SIZE + 5),
     )
-    def test_any_range_is_a_slice_of_one_whole_read(self, kind, dim, leap, start, count):
-        src = PointSource(dimension=dim, kind=kind, seed=5, leap=leap)
+    def test_any_range_is_a_slice_of_one_whole_read(self, kind, dim, start, count):
+        src = PointSource(dimension=dim, kind=kind, seed=5)
         whole = src.uniform_block(0, start + count)
         part = src.uniform_block(start, count)
         assert np.array_equal(part.view(np.int64), whole[start:].view(np.int64))
@@ -416,9 +409,9 @@ class TestPointSource:
         if kind == "halton":
             fill = sampling._halton_fill
 
-            def recording(plan, first, start, leap, out):
+            def recording(plan, first, start, out):
                 requested.append(out.shape[0])
-                return fill(plan, first, start, leap, out)
+                return fill(plan, first, start, out)
 
             monkeypatch.setattr(sampling, "_halton_fill", recording)
         else:
@@ -460,8 +453,6 @@ class TestPointSource:
             {"seed": True},
             {"seed": 1.0},
             {"kind": "halton", "skip": 2.5},
-            {"kind": "halton", "leap": np.float64(2.0)},
-            {"leap": False},
             {"dimension": 3.0},
             {"dimension": np.bool_(True)},
         ],
@@ -472,8 +463,8 @@ class TestPointSource:
             PointSource(**{"dimension": 3, **kwargs})
 
     def test_numpy_integer_settings_accepted(self):
-        src = PointSource(dimension=np.int64(3), seed=np.uint64(7), skip=np.int32(10), leap=np.int64(2))
-        assert np.array_equal(src.uniform_block(0, 4), PointSource(dimension=3, seed=7, skip=10, leap=2).uniform_block(0, 4))
+        src = PointSource(dimension=np.int64(3), seed=np.uint64(7), skip=np.int32(10))
+        assert np.array_equal(src.uniform_block(0, 4), PointSource(dimension=3, seed=7, skip=10).uniform_block(0, 4))
 
 
 def component_draws(state, component, n, source):
@@ -809,15 +800,13 @@ class TestImportanceWeights:
 
 class TestInputBounds:
     def test_halton_index_beyond_int64_rejected(self):
-        # base 13 is the largest for dim 6; index * base must stay below 2**63
+        # base 13 is the largest for dim 6; index * base must stay below 2**53
         with pytest.raises(ValueError, match="Halton index bound"):
             halton_points(64, 6, skip=2**60)
         with pytest.raises(ValueError, match="Halton index bound"):
-            halton_points(2, 6, skip=(2**63 - 1) // 13)
-        last = (2**63 - 1) // 13
-        pts = halton_points(1, 6, skip=last)[0]
-        exact = [exact_radical_inverse(last, int(b)) for b in _first_primes(6)]
-        np.testing.assert_allclose(pts, exact, rtol=0, atol=1e-15)
+            halton_points(1, 6, skip=(2**53 - 1) // 13 + 1)
+        with pytest.raises(ValueError, match="Halton index bound"):
+            halton_points(2, 6, skip=(2**53 - 1) // 13)
 
     def test_halton_exact_up_to_2_53_edge(self):
         # index * 13 < 2**53 keeps base**K and the numerator exact doubles
