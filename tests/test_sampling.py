@@ -72,6 +72,13 @@ class TestHalton:
         pts = halton_points(500, 6, skip=1)
         assert np.all((pts > 0.0) & (pts < 1.0))
 
+    def test_leap_refused(self):
+        # Halton indices are always skip + i: the stride option is removed
+        with pytest.raises(TypeError):
+            halton_points(3, 1, skip=1, leap=4)
+        with pytest.raises(TypeError):
+            PointSource(dimension=1, kind="halton", leap=4)
+
 
 class TestHaltonDigitBlocks:
     """The table-driven radical inverse gives the one-digit loop's doubles bit
@@ -134,6 +141,37 @@ class TestHaltonDigitBlocks:
                 want = halton_digit_loop(n, dim, skip)
                 assert np.array_equal(pts.view(np.int64), want.view(np.int64))
             k += 1
+
+    def test_low_table_reverses_the_low_digits(self):
+        # low[r] = rev_k(r) b^(K-k): the k base-b digits of r reversed and
+        # raised to the top of a K-digit numerator, where b^k is the largest
+        # power of b within 4096 (at least b) and k <= K; every K with
+        # b^K < 2**53, the plan's bound
+        from phasespec import sampling
+
+        reversed_digits = {}
+        for base in (2, 3, 13, 67, 313, 1627):
+            ndigits = 1
+            while base**ndigits < 2**53:
+                low = sampling._low_table(base, ndigits)
+                k = round(math.log(low.shape[0], base))
+                assert base**k == low.shape[0] and 1 <= k <= ndigits
+                assert k == 1 or base**k <= 4096
+                assert k == ndigits or base ** (k + 1) > 4096
+                if k not in reversed_digits:
+                    rev = []
+                    for r in range(base**k):
+                        value = 0
+                        for _ in range(k):
+                            r, digit = divmod(r, base)
+                            value = value * base + digit
+                        rev.append(value)
+                    reversed_digits[k] = rev
+                assert low.tolist() == [v * base ** (ndigits - k) for v in reversed_digits[k]]
+                assert not low.flags.writeable
+                assert sampling._low_table(base, ndigits) is low
+                ndigits += 1
+            reversed_digits.clear()
 
     def test_negative_indices_refused(self):
         with pytest.raises(ValueError, match="skip >= 0"):
@@ -815,6 +853,17 @@ class TestInputBounds:
         for row, idx in zip(pts, range(last - 63, last + 1)):
             exact = [exact_radical_inverse(idx, int(b)) for b in _first_primes(6)]
             assert row.tolist() == exact
+
+    def test_halton_bound_follows_the_largest_base(self):
+        # dim 1 is base 2 alone and dim 258 ends at base 1627: the last
+        # accepted index is (2**53 - 1) // b_max, exact in every coordinate
+        for dim in (1, 258):
+            primes = [int(b) for b in _first_primes(dim)]
+            last = (2**53 - 1) // primes[-1]
+            row = halton_points(1, dim, skip=last)[0]
+            assert row.tolist() == [exact_radical_inverse(last, b) for b in primes]
+            with pytest.raises(ValueError, match="Halton index bound"):
+                halton_points(1, dim, skip=last + 1)
 
     def test_workers_below_one_rejected(self):
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
