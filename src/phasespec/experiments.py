@@ -37,7 +37,7 @@ from .observables import (
     observable_from_polynomial_records,
     weyl_expectation_gaussian,
 )
-from .quadrature import _plane_rows, tensor_grid_expectation
+from .quadrature import _axis_parts, _plane_rows, tensor_grid_expectation
 from .sampling import EstimatorResult, PointSource, estimate_expectation
 
 __all__ = [
@@ -70,20 +70,28 @@ DEFAULT_D_LIST = (2, 8, 32)
 # and medians of six estimates each, measured 4.1-6.0e-7, 1.07-1.33e-6 and
 # 3.35-3.87e-6 s per sample: projected / measured 0.88-1.27, 0.82-1.03 and
 # 0.88-1.02, so the constants fit both samplers.
-# A shared tensor-grid call walks points_per_axis^2 points on each of the d
-# planes.  Per plane point it costs TENSOR_COST_PER_BRANCH_POINT_SECONDS x K
-# for the K overlap and offset columns, and per Gram row (row 0 plus every
-# distinct plane factor of the observables' terms) TENSOR_COST_PER_ROW_POINT_SECONDS
-# for the factor and TENSOR_COST_PER_GRAM_ENTRY_SECONDS x K^2 for its two K x K
-# Gram matrices.  Fitted to 108 timings on the same host (d = 1..3,
-# K = 1, 2, 3, 4, 6, 8, 1 + T rows per plane for T = 1, 3, 7, 40 to 160
-# points per axis): projected / measured 0.50-2.21, highest for the smallest
-# calls, where the per-call overhead the model leaves out is lowest.
+# A shared tensor-grid call walks each of the 2d axes (q_j and p_j of every
+# plane) once, points_per_axis nodes in blocks.  Per axis node it costs
+# TENSOR_COST_PER_BRANCH_POINT_SECONDS x K for the K axis-table columns, and
+# per distinct 1-D factor of the plane rows on that axis (the constant 1 plus
+# every distinct q_j or p_j factor of the observables' terms)
+# TENSOR_COST_PER_FACTOR_POINT_SECONDS plus TENSOR_COST_PER_GRAM_ENTRY_SECONDS
+# x K^2 for its stacked Gram, and TENSOR_COST_PER_EVALUATION_POINT_SECONDS more
+# for a factor other than the constant.  Fitted (minimax of projected /
+# measured) to medians over 3 rounds of 5 alternating timings of
+# mu-and-husimi calls on a 2-core Xeon host, d = 1..3, K = 1, 2, 4, 8, three
+# observable sets (2d to 9d axis factors) and 1e4 to 1e5 points per axis:
+# projected / measured 0.80-1.25 there (0.64-1.33 within single rounds; a
+# later held-out round read 0.86-1.38, and the sweep state at 1e6 points per
+# axis 1.26-1.32).  The model leaves out the per-call and per-block overhead,
+# so smaller calls read lower: 0.39-0.84 at 1000 points per axis, 0.10-0.40
+# at 160 and 0.03-0.13 at 40.
 SAMPLE_COST_SECONDS = 3.3e-7
 SAMPLE_COST_PER_DIM_SECONDS = 9.6e-8
-TENSOR_COST_PER_BRANCH_POINT_SECONDS = 1.4e-7
-TENSOR_COST_PER_ROW_POINT_SECONDS = 4.0e-8
-TENSOR_COST_PER_GRAM_ENTRY_SECONDS = 2.5e-9
+TENSOR_COST_PER_BRANCH_POINT_SECONDS = 3.6e-8
+TENSOR_COST_PER_FACTOR_POINT_SECONDS = 3.3e-8
+TENSOR_COST_PER_GRAM_ENTRY_SECONDS = 8.5e-10
+TENSOR_COST_PER_EVALUATION_POINT_SECONDS = 1.6e-8
 # An observable evaluated through its symbol (an inline polynomial) adds
 # SYMBOL_COST_PER_ENTRY_SECONDS per sample and factor-table entry (one per term
 # and one per term factor).  Inline |p|^4 estimates (Philox, one worker, medians
@@ -254,12 +262,18 @@ def _symbol_evaluation_seconds(n: int, A: Observable) -> float:
 
 def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, observables) -> float:
     """Cost-model projection of one shared tensor-grid call over the
-    observables: points_per_axis^2 points on each of the d planes, each
-    evaluating the K branch columns and adding to every computed Gram row."""
+    observables: points_per_axis nodes on each of the 2d axes, each
+    evaluating the K axis-table columns and, for every distinct 1-D factor
+    on that axis, the factor and its Gram entries."""
     K, d = state.n_branches, state.dim
-    rows = sum(map(len, _plane_rows(observables, d)[0]))
-    per_row = TENSOR_COST_PER_ROW_POINT_SECONDS + TENSOR_COST_PER_GRAM_ENTRY_SECONDS * K * K
-    return float(points_per_axis) ** 2 * (d * TENSOR_COST_PER_BRANCH_POINT_SECONDS * K + rows * per_row)
+    axes = [set(side) for rows in _plane_rows(observables, d)[0] for side in zip(*_axis_parts(rows, d))]
+    factors = sum(map(len, axes))
+    evaluated = factors - len(axes)  # every axis has the constant factor ()
+    return float(points_per_axis) * (
+        2 * d * K * TENSOR_COST_PER_BRANCH_POINT_SECONDS
+        + factors * (TENSOR_COST_PER_FACTOR_POINT_SECONDS + TENSOR_COST_PER_GRAM_ENTRY_SECONDS * K * K)
+        + evaluated * TENSOR_COST_PER_EVALUATION_POINT_SECONDS
+    )
 
 
 def check_resource_budget(n: int, d_values, force: bool) -> float:

@@ -11,29 +11,44 @@ branch superpositions every density handled here is a sum over branch pairs
 
 with per-plane factors G_klj = O_kj conj(O_lj) and beta_klj =
 2h zeta_jk conj(zeta_jl), built from the overlaps O_kj(w_j) = <g_{w_j}, g_{z_kj}>
-and offsets zeta_jk of :mod:`phasespec.densities`.  On the plane-j grid, with
-trapezoid weights w, a plane factor f of A, V[k, i] = O_kj(w_i) (branch-major)
-and Z = zeta_j V, the plane integrals over every pair (k, l) are Gram matrices:
+and offsets zeta_jk = (q_kj - q + i (p_kj - p)) / sqrt(2h) of
+:mod:`phasespec.densities`.  The overlap of an isotropic wavepacket factors
+per coordinate, O_k(q, p) = a_k(q) b_k(p) on plane j, with
 
-    sum_i w f G_klj = (V * w f) @ conj(V).T,
-    sum_i w f beta_klj G_klj = 2h (Z * w f) @ conj(Z).T.
+    a_k(q) = exp(-(q - q_k)^2/(4h) + i q p_k/(2h)),
+    b_k(p) = exp(-(p - p_k)^2/(4h) - i p q_k/(2h)),
+
+so a plane integral of a factor f_q(q) f_p(p) is a product of two 1-D sums.
+On one axis, with trapezoid weights w, write alpha[k] = a_k (or b_k) on the
+axis nodes, beta[k] = (q_k - q) alpha[k] (or (p_k - p) alpha[k]) and
+X_st[f] = (s * w f) @ conj(t).T for s, t in {alpha, beta}.  Then, with A the
+q-axis and B the p-axis Grams and products taken entrywise over (k, l),
+
+    sum w f G_klj          = A_aa[f_q] B_aa[f_p],
+    sum w f beta_klj G_klj = A_bb B_aa + A_aa B_bb + i (B_ba A_ab - A_ba B_ab),
+
+the second from 2h zeta_k conj(zeta_l) = (q_k-q)(q_l-q) + (p_k-p)(p_l-p)
++ i [(p_k-p)(q_l-q) - (q_k-q)(p_l-p)].  Each axis Gram is one matrix product
+of the stacked (2K, n) table [alpha; beta] with itself, built for every
+method, so a Husimi-only call sums the same floats as a shared one.
 
 When the observable is itself a sum of per-plane factors (every symbol
 term coeff * prod_i x_i^e_i cos(w_i x_i) is), the full tensor-grid
-sum collapses exactly into products of 2-dimensional plane integrals: the
-result equals the direct sum over the (points_per_axis)^(2d) grid, evaluated
+sum collapses exactly into products of these plane integrals: the result
+equals the direct sum over the (points_per_axis)^(2d) grid, evaluated
 without materializing it; the test suite checks it against that literal
 pointwise sum for d <= 2.
 
 The Gram stacks do not depend on the density; only the final combination
-does.  ``tensor_grid_integrals`` therefore walks each plane once, in blocks
-of q-lines, for any number of observables and methods, and V, Z and their
-conjugates are computed once per block.  Plane j has one Gram row per
-distinct plane factor (its factors on q_j and p_j, read from each symbol's
-factor table) across all of the observables, row 0 being the constant 1; a
-term reads on each plane the row of its factor there.  A row is the same
-float sum whichever terms share it, so every result equals that of a
-single-observable, single-method call.
+does.  ``tensor_grid_integrals`` therefore walks each axis once, in blocks
+of nodes, for any number of observables and methods, and the axis tables
+are computed once per block.  Plane j has one Gram row per distinct plane
+factor (its factors on q_j and p_j, read from each symbol's factor table)
+across all of the observables, row 0 being the constant 1; a term reads on
+each plane the row of its factor there, and a row reads the axis Grams of
+its q_j and p_j parts, each distinct 1-D part summed once per axis.  A row is
+the same float sum whichever terms share it, so every result equals that of
+a single-observable, single-method call.
 """
 
 from __future__ import annotations
@@ -44,9 +59,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GaussianState, _overlap_factors
+from .core import GaussianState
 from .observables import PolynomialSymbol, _factor
-from . import densities
 
 __all__ = [
     "plane_axes",
@@ -54,37 +68,85 @@ __all__ = [
     "tensor_grid_expectation",
 ]
 
-# Grid points per block of q-lines in tensor_grid_integrals.  Whole-plane
-# (points, K) temporaries left the process heap larger and slowed the density
-# evaluations that ran after the quadrature in the same process.
-_BLOCK_POINTS = 4096
+# Nodes per block of one axis in tensor_grid_integrals.  The walk never builds
+# an array of points_per_axis entries, so its memory stays flat at any grid
+# size.  With 4096-node blocks every call mapped its (2K, 4096) complex
+# temporaries afresh (about 0.6 ms of page faults per axis at K = 4), so a
+# call at 1e4 points per axis cost 1.2-1.5x more per node than one at 1e5; at
+# 1024 nodes the per-node cost is flat from 1e4 points per axis on.
+_BLOCK_POINTS = 1024
 
 _METHODS = ("mu", "husimi", "hermite-mixture")
 
 
-def plane_axes(state: GaussianState, points_per_axis: int = 160) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-plane (q_axis, p_axis) covering the branch hull plus a margin of
-    12 sqrt(h), where the densities are below 1e-30."""
+def _plane_bounds(state: GaussianState) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """Per-plane ((q_lo, q_hi), (p_lo, p_hi)): the branch hull plus a margin
+    of 12 sqrt(h), where the densities are below 1e-30."""
     padding = 12.0 * np.sqrt(state.h)
-    axes = []
-    for j in range(state.dim):
-        qlo = state.centers_q[:, j].min() - padding
-        qhi = state.centers_q[:, j].max() + padding
-        plo = state.centers_p[:, j].min() - padding
-        phi = state.centers_p[:, j].max() + padding
-        axes.append(
-            (np.linspace(qlo, qhi, points_per_axis), np.linspace(plo, phi, points_per_axis))
+    cq, cp = state.centers_q, state.centers_p
+    return [
+        (
+            (cq[:, j].min() - padding, cq[:, j].max() + padding),
+            (cp[:, j].min() - padding, cp[:, j].max() + padding),
         )
-    return axes
+        for j in range(state.dim)
+    ]
 
 
-def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    if axis.size < 2:
-        raise ValueError(f"a quadrature grid needs at least 2 points per axis, got {axis.size}")
-    step = axis[1] - axis[0]
-    w = np.full(axis.size, step)
-    w[0] = w[-1] = step / 2.0
-    return w
+def plane_axes(state: GaussianState, points_per_axis: int = 160) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-plane (q_axis, p_axis): ``np.linspace`` over the bounds of
+    :func:`_plane_bounds`, the grid that tensor_grid_integrals sums over."""
+    return [
+        tuple(np.linspace(lo, hi, points_per_axis) for lo, hi in plane)
+        for plane in _plane_bounds(state)
+    ]
+
+
+def _axis_blocks(lo: float, hi: float, n: int):
+    """(nodes, trapezoid weights) of ``np.linspace(lo, hi, n)`` in consecutive
+    blocks of _BLOCK_POINTS nodes, by linspace's own arithmetic (node i is
+    i * step + lo, the last node hi), so each block is bit-equal to its slice
+    of the whole axis.  The weight spacing is node 1 minus node 0."""
+    if n < 2:
+        raise ValueError(f"a quadrature grid needs at least 2 points per axis, got {n}")
+    step = (hi - lo) / (n - 1)
+    spacing = (hi if n == 2 else step + lo) - lo
+    for start in range(0, n, _BLOCK_POINTS):
+        x = np.arange(start, min(start + _BLOCK_POINTS, n), dtype=float)
+        x *= step
+        x += lo
+        w = np.full(x.size, spacing)
+        if start == 0:
+            w[0] = spacing / 2.0
+        if start + x.size == n:
+            x[-1] = hi
+            w[-1] = spacing / 2.0
+        yield x, w
+
+
+def _axis_grams(h: float, centers: np.ndarray, phase: np.ndarray, bounds, n: int, keys) -> dict:
+    """{key: (2K, 2K) Gram (T * w f) @ conj(T).T} on one axis, for each 1-D
+    factor key (a tuple of (variable, exponent, frequency), () the constant
+    1), with T the stacked table [alpha; beta]: alpha[k] = exp(-(x - c_k)^2/(4h)
+    + i s_k x/(2h)) for the branch centers c on this axis and the phase
+    slopes s, beta[k] = (c_k - x) alpha[k]."""
+    K = centers.size
+    grams = {key: np.zeros((2 * K, 2 * K), dtype=complex) for key in keys}
+    c = centers[:, None]
+    for x, w in _axis_blocks(*bounds, n):
+        alpha = np.exp((x - c) ** 2 / (-4.0 * h) + 1j * (np.multiply.outer(phase, x) * (1.0 / (2.0 * h))))
+        T = np.concatenate([alpha, (c - x) * alpha])
+        Tc = T.conj().T
+        for key, gram in grams.items():
+            wf = w * reduce(mul, (_factor(x, e, fw) for _, e, fw in key), 1.0)
+            gram += (T * wf) @ Tc
+    return grams
+
+
+def _axis_parts(rows, d: int) -> list[tuple[tuple, tuple]]:
+    """Each plane row's (q part, p part): its factors on q_j and on p_j, the
+    1-D factor keys of the two axis walks."""
+    return [tuple(tuple(f for f in key if (f[0] >= d) == on_p) for on_p in (False, True)) for key in rows]
 
 
 def _plane_rows(observables, d: int) -> tuple[list[list[tuple]], list[list[tuple]]]:
@@ -139,34 +201,24 @@ def tensor_grid_integrals(
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r}")
     d, h, K = state.dim, state.h, state.n_branches
-    # Only the S_j kernels (mu, hermite-mixture) read the plane offsets Z.
-    offsets = any(m != "husimi" for m in methods)
     plane_rows, term_lists = _plane_rows(observables, d)
     # Per-plane Gram stacks [row, j, k, l]; plane j fills len(plane_rows[j]) rows.
     I0 = np.zeros((max(map(len, plane_rows)), d, K, K), dtype=complex)
     Ib = np.zeros_like(I0)
-    for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):
-        # unit coefficients: the real ones may give this plane zero norm
-        plane = GaussianState(
-            h, np.ones(K), state.centers_q[:, j : j + 1], state.centers_p[:, j : j + 1]
-        )
-        w_q, w_p = _trapezoid_weights(q_axis), _trapezoid_weights(p_axis)
-        lines = max(1, _BLOCK_POINTS // p_axis.size)
-        for rows in (slice(s, s + lines) for s in range(0, q_axis.size, lines)):
-            QQ, PP = np.meshgrid(q_axis[rows], p_axis, indexing="ij")
-            Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
-            w = np.outer(w_q[rows], w_p).ravel()
-            V = _overlap_factors(plane, Q, P)
-            Vc = V.conj().T
-            if offsets:
-                Z = densities._plane_offset(plane, Q, P, V, 0)
-                Zc = Z.conj().T
-            x = (QQ.ravel(), PP.ravel())
-            for r, factors in enumerate(plane_rows[j]):
-                wf = w * reduce(mul, (_factor(x[i >= d], e, fw) for i, e, fw in factors), 1.0)
-                I0[r, j] += (V * wf) @ Vc
-                if offsets:
-                    Ib[r, j] += 2.0 * h * ((Z * wf) @ Zc)
+    cq, cp = state.centers_q, state.centers_p
+    for j, (q_bounds, p_bounds) in enumerate(_plane_bounds(state)):
+        parts = _axis_parts(plane_rows[j], d)
+        A = _axis_grams(h, cq[:, j], cp[:, j], q_bounds, points_per_axis, dict.fromkeys(q for q, _ in parts))
+        B = _axis_grams(h, cp[:, j], -cq[:, j], p_bounds, points_per_axis, dict.fromkeys(p for _, p in parts))
+        for r, (fq, fp) in enumerate(parts):
+            # quadrants [s, k, t, l] of the stacked Grams X_st, 0 = alpha, 1 = beta
+            a, b = A[fq].reshape(2, K, 2, K), B[fp].reshape(2, K, 2, K)
+            I0[r, j] = a[0, :, 0] * b[0, :, 0]
+            Ib[r, j] = (
+                a[1, :, 1] * b[0, :, 0]
+                + a[0, :, 0] * b[1, :, 1]
+                + 1j * (b[1, :, 0] * a[0, :, 1] - a[1, :, 0] * b[0, :, 1])
+            )
 
     def combine(method: str, i0: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """(K, K) grid integrals of the density's pair kernels from the

@@ -212,52 +212,60 @@ def term_by_term_reference(poly, state):
     return float(((C * np.exp(L)) @ total).real / state_norm2(state))
 
 
-def plane_factor(exps, freqs, j, d):
-    """A term's factor q_j^a cos(wa q_j) p_j^b cos(wb p_j) on plane j as a
-    function of the plane's meshgrid arrays, or None when it is the constant 1."""
-    a, wa, b, wb = exps[j], freqs[j], exps[d + j], freqs[d + j]
-    if not (a or wa or b or wb):
+def axis_factor(exps, freqs, i):
+    """A term's factor x_i^e cos(w x_i) on one axis as a function of the
+    axis nodes, or None when it is the constant 1."""
+    e, w = exps[i], freqs[i]
+    if not (e or w):
         return None
-    return lambda QQ, PP: times_factor(times_factor(np.ones_like(QQ), QQ, a, wa), PP, b, wb)
+    return lambda x: times_factor(np.ones_like(x), x, e, w)
 
 
 def tensor_grid_every_row(state, observable, method, points_per_axis):
-    """(num, den) of one observable and one method by the plane walk of
-    ``tensor_grid_integrals``, but with no shared or copied rows: the Gram
-    matrices of every term, None factors included, are summed block by
-    block on every plane.  The float arithmetic of each Gram is the same, so
+    """(num, den) of one observable and one method by the factored axis walk
+    of ``tensor_grid_integrals``, but with no shared or copied rows: the
+    stacked axis Grams of every term, constant factors included, are summed
+    block by block on both axes of every plane, over slices of the
+    ``plane_axes`` nodes.  The float arithmetic of each Gram is the same, so
     the results must be equal, not merely close."""
-    from phasespec.core import GaussianState, _overlap_factors
-    from phasespec.densities import _plane_offset
-    from phasespec.quadrature import _BLOCK_POINTS, _trapezoid_weights, plane_axes
+    from phasespec.quadrature import _BLOCK_POINTS, plane_axes
 
     d, h, K = state.dim, state.h, state.n_branches
     if observable is None:
-        terms = [(1.0, (None,) * d)]
+        terms = [(1.0, (None,) * (2 * d))]
     else:
         terms = [
-            (c, tuple(plane_factor(e, w, j, d) for j in range(d)))
+            (c, tuple(axis_factor(e, w, i) for i in range(2 * d)))
             for c, e, w in observable.polynomial.terms
         ]
-    I0 = np.zeros((len(terms) + 1, d, K, K), dtype=complex)
+    factors = [(None,) * (2 * d)] + [fs for _, fs in terms]
+    I0 = np.zeros((len(factors), d, K, K), dtype=complex)
     Ib = np.zeros_like(I0)
-    for j, (q_axis, p_axis) in enumerate(plane_axes(state, points_per_axis)):
-        plane = GaussianState(
-            h, np.ones(K), state.centers_q[:, j : j + 1], state.centers_p[:, j : j + 1]
-        )
-        w_q, w_p = _trapezoid_weights(q_axis), _trapezoid_weights(p_axis)
-        lines = max(1, _BLOCK_POINTS // p_axis.size)
-        for start in range(0, q_axis.size, lines):
-            rows = slice(start, start + lines)
-            QQ, PP = np.meshgrid(q_axis[rows], p_axis, indexing="ij")
-            Q, P = QQ.reshape(-1, 1), PP.reshape(-1, 1)
-            w = np.outer(w_q[rows], w_p).ravel()
-            V = _overlap_factors(plane, Q, P)
-            Z = _plane_offset(plane, Q, P, V, 0)
-            for t, f in enumerate([None] + [factors[j] for _, factors in terms]):
-                wf = w if f is None else w * np.asarray(f(QQ, PP), dtype=float).ravel()
-                I0[t, j] += (V * wf) @ V.conj().T
-                Ib[t, j] += 2.0 * h * ((Z * wf) @ Z.conj().T)
+    for j, axes in enumerate(plane_axes(state, points_per_axis)):
+        cq, cp = state.centers_q[:, j], state.centers_p[:, j]
+        # O_k = a_k(q) b_k(p): (center, phase slope) of each axis table
+        G = np.zeros((len(factors), 2, 2 * K, 2 * K), dtype=complex)
+        for side, (axis, (c, s)) in enumerate(zip(axes, ((cq, cp), (cp, -cq)))):
+            w_all = _trapezoid_weights(axis)
+            for start in range(0, axis.size, _BLOCK_POINTS):
+                x, w = axis[start : start + _BLOCK_POINTS], w_all[start : start + _BLOCK_POINTS]
+                alpha = np.exp(
+                    (x - c[:, None]) ** 2 / (-4.0 * h) + 1j * (np.multiply.outer(s, x) * (1.0 / (2.0 * h)))
+                )
+                T = np.concatenate([alpha, (c[:, None] - x) * alpha])
+                for t, fs in enumerate(factors):
+                    f = fs[side * d + j]
+                    wf = w if f is None else w * f(x)
+                    G[t, side] += (T * wf) @ T.conj().T
+        for t in range(len(factors)):
+            # [s, k, t, l]: X_st of the q axis (a) and the p axis (b), 0 = alpha, 1 = beta
+            a, b = G[t, 0].reshape(2, K, 2, K), G[t, 1].reshape(2, K, 2, K)
+            I0[t, j] = a[0, :, 0] * b[0, :, 0]
+            Ib[t, j] = (
+                a[1, :, 1] * b[0, :, 0]
+                + a[0, :, 0] * b[1, :, 1]
+                + 1j * (b[1, :, 0] * a[0, :, 1] - a[1, :, 0] * b[0, :, 1])
+            )
 
     def combine(i0, ib):
         prod_all = np.prod(i0, axis=0)
@@ -466,6 +474,15 @@ def _pair_geometry(state, k, l, Q, P):
     return OkOl, B
 
 
+def _trapezoid_weights(axis):
+    """Trapezoid weights of an equispaced axis, the spacing taken as node 1
+    minus node 0."""
+    step = axis[1] - axis[0]
+    w = np.full(axis.size, step)
+    w[0] = w[-1] = step / 2.0
+    return w
+
+
 def _grid_sums(axes, slab_fn):
     """(sum w f rho, sum w rho) over the tensor grid of ``axes`` with
     trapezoid weights w.
@@ -474,8 +491,6 @@ def _grid_sums(axes, slab_fn):
     is never materialized.  ``slab_fn`` maps the (m, len(axes)) coordinates
     of one slab to (f, rho).
     """
-    from phasespec.quadrature import _trapezoid_weights
-
     weights = [_trapezoid_weights(ax) for ax in axes]
     w_rest = np.ones(())
     for wv in weights[1:]:

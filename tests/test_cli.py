@@ -376,7 +376,8 @@ class TestGuardBeforeWork:
 
         for name in ("weyl_expectation_gaussian", "tensor_grid_expectation"):
             monkeypatch.setattr(experiments, name, fail)
-        code = main(["accuracy-sweep", "--points-per-axis", "20000", "--h-list", "0.1,0.01"])
+        # linear in points_per_axis: about 1500 s projected for two h values
+        code = main(["accuracy-sweep", "--points-per-axis", "1000000000", "--h-list", "0.1,0.01"])
         assert code == 3
         assert "resource guard" in capsys.readouterr().err
 

@@ -6,8 +6,10 @@ import pytest
 from phasespec.exceptions import ResourceGuardError
 from phasespec.experiments import (
     DEFAULT_H_LIST,
+    TENSOR_COST_PER_BRANCH_POINT_SECONDS,
+    TENSOR_COST_PER_EVALUATION_POINT_SECONDS,
+    TENSOR_COST_PER_FACTOR_POINT_SECONDS,
     TENSOR_COST_PER_GRAM_ENTRY_SECONDS,
-    TENSOR_COST_PER_ROW_POINT_SECONDS,
     TIME_BUDGET_SECONDS,
     RunConfig,
     _projected_tensor_grid_seconds,
@@ -407,26 +409,43 @@ class TestSharedEstimates:
 
 
 class TestTensorGridCostModel:
-    """The tensor-grid projection charges each computed Gram row once."""
+    """The tensor-grid projection is linear in points_per_axis and charges
+    each distinct 1-D factor once per axis."""
 
     def test_charges_only_computed_rows(self):
-        from phasespec.observables import observable_from_label
+        from phasespec.observables import observable_from_label, observable_from_polynomial_records
 
-        st = benchmark_superposition(0.1)
-        torsional, quartic = (observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum"))
-        # torsional: one cosine row per plane; quartic: two rows per plane
-        per_row = TENSOR_COST_PER_ROW_POINT_SECONDS + 4 * TENSOR_COST_PER_GRAM_ENTRY_SECONDS
+        st = benchmark_superposition(0.1)  # K = 2, d = 2
+        constant = TENSOR_COST_PER_FACTOR_POINT_SECONDS + 4 * TENSOR_COST_PER_GRAM_ENTRY_SECONDS
+        per_factor = constant + TENSOR_COST_PER_EVALUATION_POINT_SECONDS
         base = _projected_tensor_grid_seconds(100, st, [])
-        assert _projected_tensor_grid_seconds(100, st, [torsional]) - base == pytest.approx(1e4 * 2 * per_row)
+        # the K table columns and the constant factor on each of the 4 axes
+        assert base == pytest.approx(100 * 4 * (2 * TENSOR_COST_PER_BRANCH_POINT_SECONDS + constant))
+        torsional, quartic = (observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum"))
+        # torsional: cos q_j on each q axis; quartic: p_j^4 and p_j^2 on each p axis
+        assert _projected_tensor_grid_seconds(100, st, [torsional]) - base == pytest.approx(100 * 2 * per_factor)
         assert _projected_tensor_grid_seconds(100, st, [torsional, quartic]) - base == pytest.approx(
-            1e4 * 6 * per_row
+            100 * 6 * per_factor
         )
-        # hh-kinetic's plane factors p_1^2 and p_2^2 are rows of quartic-momentum
-        # already, so adding it charges nothing
+        # hh-kinetic's p_j^2 factors are quartic-momentum's already, so adding
+        # it to quartic charges nothing
         kinetic = observable_from_label("hh-kinetic", 2)
-        assert _projected_tensor_grid_seconds(100, st, [kinetic]) - base == pytest.approx(1e4 * 2 * per_row)
+        assert _projected_tensor_grid_seconds(100, st, [kinetic]) - base == pytest.approx(100 * 2 * per_factor)
         assert _projected_tensor_grid_seconds(100, st, [quartic, kinetic]) == _projected_tensor_grid_seconds(
             100, st, [quartic]
+        )
+        # q_1 p_1 and q_1 p_1^2 are two plane rows but three axis factors:
+        # q_1 is summed once on the q_1 axis, p_1 and p_1^2 on the p_1 axis
+        mixed = observable_from_polynomial_records([[1.0, [1, 0, 1, 0]], [1.0, [1, 0, 2, 0]]], 2)
+        assert _projected_tensor_grid_seconds(100, st, [mixed]) - base == pytest.approx(100 * 3 * per_factor)
+
+    def test_linear_in_points_per_axis(self):
+        from phasespec.observables import observable_from_label
+
+        st = benchmark_superposition(0.01)
+        obs = [observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum")]
+        assert _projected_tensor_grid_seconds(20000, st, obs) == pytest.approx(
+            100 * _projected_tensor_grid_seconds(200, st, obs)
         )
 
     def test_default_sweep_far_below_budget(self):

@@ -6,13 +6,22 @@ from phasespec import GaussianState, PhasePoint, state_norm2, weyl_expectation_g
 from phasespec.experiments import benchmark_superposition
 from phasespec.observables import (
     HenonHeilesSpec,
+    Observable,
+    PolynomialSymbol,
     henon_heiles_energy,
     observable_from_polynomial_records,
     quartic_momentum,
     torsional_potential,
 )
-from phasespec.quadrature import tensor_grid_expectation, tensor_grid_integrals
-from _oracles import direct_grid_integrals, tensor_grid_every_row
+from phasespec.quadrature import (
+    _BLOCK_POINTS,
+    _axis_blocks,
+    _plane_bounds,
+    plane_axes,
+    tensor_grid_expectation,
+    tensor_grid_integrals,
+)
+from _oracles import _trapezoid_weights, direct_grid_integrals, tensor_grid_every_row
 
 
 class TestFactoredVersusDirect:
@@ -271,3 +280,81 @@ class TestSuperpositionProperties:
             num, den = shared[method][0]
             assert num == den
             assert den == pytest.approx(norm, rel=1e-11), method
+
+    # Random symbols of degree <= 3 with cosine factors, every method.  Largest
+    # gaps seen over 30 such draws: 2.7e-15 relative in den and 1.3e-15 of
+    # scale * den in num.
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(K=strategies.integers(1, 3), d=strategies.integers(1, 2), data=strategies.data())
+    def test_factored_walk_equals_direct_sum(self, K, d, data):
+        st, rng = self.draw_state(data, K, d)
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            exps, freqs = [0] * (2 * d), [0.0] * (2 * d)
+            for _ in range(int(rng.integers(0, 4))):
+                exps[int(rng.integers(0, 2 * d))] += 1
+            if rng.uniform() < 0.4:
+                freqs[int(rng.integers(0, 2 * d))] = float(rng.uniform(0.5, 3.0))
+            terms.append((float(rng.uniform(-2.0, 2.0)), tuple(exps), tuple(freqs)))
+        poly = PolynomialSymbol(tuple(terms))
+        A = Observable("symbol", poly.evaluate, polynomial=poly)
+        points = 48 if d == 1 else 20
+        shared = tensor_grid_integrals(st, [A], METHODS, points_per_axis=points)
+        R = 1.0 + max(np.max(np.abs(st.centers_q)), np.max(np.abs(st.centers_p))) + 12.0 * np.sqrt(st.h)
+        scale = sum(abs(c) * R ** sum(e) for c, e, _ in poly.terms)
+        for method in METHODS:
+            num, den = shared[method][0]
+            direct_num, direct_den = direct_grid_integrals(st, A, method, points)
+            assert den == pytest.approx(direct_den, rel=1e-11), method
+            assert abs(num - direct_num) <= 1e-11 * scale * abs(direct_den), method
+
+
+class TestAxisBlocks:
+    """The axis walk builds its nodes and weights block by block, never an
+    array of the whole axis, yet bit-equal to ``plane_axes`` and the
+    trapezoid weights of the direct-sum oracle."""
+
+    @staticmethod
+    def check(lo, hi, n, axis):
+        blocks = list(_axis_blocks(lo, hi, n))
+        assert all(x.size == w.size == _BLOCK_POINTS for x, w in blocks[:-1])
+        assert 1 <= blocks[-1][0].size == blocks[-1][1].size <= _BLOCK_POINTS
+        nodes = np.concatenate([x for x, _ in blocks])
+        weights = np.concatenate([w for _, w in blocks])
+        assert nodes.tobytes() == axis.tobytes()
+        assert weights.tobytes() == _trapezoid_weights(axis).tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, _BLOCK_POINTS - 1, _BLOCK_POINTS, _BLOCK_POINTS + 1, 2 * _BLOCK_POINTS, 3 * _BLOCK_POINTS + 17]
+    )
+    def test_bit_equal_to_plane_axes(self, n):
+        rng = np.random.default_rng(n)
+        for K, d, h in ((1, 1, 0.05), (3, 2, 0.013), (2, 3, 0.2)):
+            st = random_superposition(rng, K, d, h)
+            for bounds, axes in zip(_plane_bounds(st), plane_axes(st, n)):
+                for (lo, hi), axis in zip(bounds, axes):
+                    self.check(lo, hi, n, axis)
+
+    @pytest.mark.parametrize("n", [2, _BLOCK_POINTS + 1, 5 * _BLOCK_POINTS - 3])
+    def test_bit_equal_to_linspace_on_random_bounds(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            lo = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+            hi = lo + float(rng.uniform(1e-3, 1.0) * 10.0 ** rng.integers(-2, 3))
+            self.check(lo, hi, n, np.linspace(lo, hi, n))
+
+    def test_walk_memory_does_not_grow_with_the_grid(self):
+        import tracemalloc
+
+        st = benchmark_superposition(0.01)
+        observables = [torsional_potential(2), quartic_momentum(2)]
+        peaks = []
+        for n in (4 * _BLOCK_POINTS, 64 * _BLOCK_POINTS):
+            tracemalloc.start()
+            try:
+                tensor_grid_integrals(st, observables, METHODS, points_per_axis=n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one array of points_per_axis doubles would add 480 KiB at the larger grid
+        assert peaks[1] - peaks[0] < 64 * 1024
