@@ -7,8 +7,10 @@ The corrected density splits into two non-negative components,
 both exactly sampleable for branch mixtures: H draws the branch center plus
 sqrt(h) times 2d standard normals; Sbar additionally replaces one uniformly
 chosen plane by a polar draw whose squared radius is 2h times a Gamma(2, 1)
-variate.  The estimator averages the observable over each component stream
-and combines the means with the signed weights above.
+variate.  One plan of (component, signed weight, first index, stop index)
+rows drives the estimator, (H, 1 + d/2, 0, n_husimi) and (Sbar, -d/2,
+n_husimi, n) for mu or (H, 1, 0, n) for the Husimi method: it adds the
+weighted means of the observable over each row's index range in row order.
 
 Reproducibility contract
 ------------------------
@@ -17,11 +19,11 @@ absolute index.  Pseudo-random streams use the counter-based philox4x64
 generator (period 2^256): point indices are grouped into fixed chunks of
 ``CHUNK_SIZE`` and chunk c is generated with key (seed, c), so any
 sub-range of the stream is a pure function of (seed, index) alone.  Halton
-streams use element indices skip + i with one prime base per coordinate.
-The estimator consumes indices [0, n_husimi) for the Husimi component and
-[n_husimi, n) for the Hermite component, accumulates per-chunk partial
-sums, and reduces them over a fixed pairwise tree, so results are
-bit-identical for any worker count.
+streams use element indices skip + i with one prime base per coordinate,
+and refuse an index whose product with the largest base reaches 2**53.
+The estimator accumulates per-chunk partial sums of each plan row and
+reduces them over a fixed pairwise tree, so results are bit-identical for
+any worker count.
 
 The estimator streams each chunk ``_BLOCK_ROWS`` rows at a time: it reads
 a block's uniforms (every stream index once) into a workspace of its
@@ -333,17 +335,20 @@ class PointSource:
         No row before ``lo`` is generated.  Philox fills row-major, so the
         rows start at double lo * dimension of the chunk's stream: one
         counter skip of four doubles a step, then the rest drawn and
-        dropped.  Halton reads the plan of the whole chunk, whose digit
-        count comes from the chunk's last index, so every row has the
-        doubles of a whole-chunk build; each thread keeps the plan it read
-        last.
+        dropped.  Halton reads the plan of the whole chunk, up to the smaller
+        of its last index and the largest index the 2**53 bound admits, so
+        every row has the doubles of a whole-chunk build; only a read past
+        that index is refused.  Each thread keeps the plan it read last.
         """
         if self.kind == "halton":
             first = self.skip + c * CHUNK_SIZE
-            key = (self.dimension, first, first + CHUNK_SIZE - 1)
-            if getattr(_THREAD_PLAN, "key", None) != key:
-                _THREAD_PLAN.plan = _halton_plan(*key)
-                _THREAD_PLAN.key = key
+            if getattr(_THREAD_PLAN, "chunk", None) != (self.dimension, first):
+                bound = (2**53 - 1) // int(_first_primes(self.dimension)[-1])
+                _THREAD_PLAN.last = min(first + CHUNK_SIZE - 1, bound)
+                _THREAD_PLAN.plan = _halton_plan(self.dimension, first, _THREAD_PLAN.last)
+                _THREAD_PLAN.chunk = (self.dimension, first)
+            if first + lo + len(out) - 1 > _THREAD_PLAN.last:
+                _halton_plan(self.dimension, first, first + lo + len(out) - 1)  # refuses the read
             _halton_fill(_THREAD_PLAN.plan, first, first + lo, out)
             return
         bit_generator = np.random.Philox(key=np.array([self.seed, c], dtype=np.uint64))
@@ -463,11 +468,12 @@ def _component_arrays(state: GaussianState, component: str, u: np.ndarray, work:
 class EstimatorResult:
     """Expectation estimate with its component breakdown.
 
-    ``value = (1 + d/2) mean_husimi - (d/2) mean_hermite`` for the mu method
-    and ``value = mean_husimi`` for the husimi method.  ``stderr`` combines
-    the per-component sample variances for pseudo-random sources; Halton
-    sources are deterministic and report stderr 0 with ``deterministic``
-    set.
+    The estimator's plan rows (see the module docstring) give every field:
+    ``value`` sums weight * mean over them, ``(1 + d/2) mean_husimi +
+    (-d/2) mean_hermite`` for mu and ``mean_husimi`` for husimi (no Hermite
+    row: ``n_hermite`` 0, ``mean_hermite`` None).  ``stderr`` is the root of
+    the sum of weight^2 * variance / count for pseudo-random sources; Halton
+    sources are deterministic and report stderr 0 with ``deterministic`` set.
     """
 
     value: float
@@ -494,15 +500,9 @@ def _chunk_ranges(start: int, stop: int):
 
 def _pairwise_reduce(parts: list[np.ndarray]) -> np.ndarray:
     """Deterministic pairwise-tree sum of per-chunk accumulators."""
-    items = list(parts)
-    if not items:
-        return np.zeros(3)
-    while len(items) > 1:
-        items = [
-            items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2 :]
+    return parts[0]
 
 
 def _importance_weights(state: GaussianState, component: str, Q: np.ndarray, P: np.ndarray, norm: float) -> np.ndarray:
@@ -610,16 +610,16 @@ def estimate_expectation(
     weighted = policy.weights_needed(state)
     norm = state_norm2(state) if weighted else None
 
+    # tasks, sums, value, stderr and result fields all read the plan rows
     if method == "mu":
         if not 0.0 < split < 1.0:
             raise ValueError("split must lie strictly between 0 and 1")
         n_h = min(max(int(round(n * split)), 1), n - 1)
-        plan = [("husimi", 0, n_h), ("hermite-mixture", n_h, n)]
+        plan = [("husimi", 1.0 + d / 2.0, 0, n_h), ("hermite-mixture", -d / 2.0, n_h, n)]
     else:
-        n_h = n
-        plan = [("husimi", 0, n)]
+        plan = [("husimi", 1.0, 0, n)]
 
-    tasks = [(comp, s, e) for comp, lo, hi in plan for s, e in _chunk_ranges(lo, hi)]
+    tasks = [(comp, s, e) for comp, _, lo, hi in plan for s, e in _chunk_ranges(lo, hi)]
     threads = min(workers, len(tasks))
     # One block workspace per worker thread, kept for the whole call.  All
     # of them share one allocation: freeing it raises glibc's trim
@@ -651,44 +651,29 @@ def estimate_expectation(
     else:
         results = [run_chunk(*t) for t in tasks]
 
-    stats: dict[str, np.ndarray] = {}
-    for comp, _, _ in plan:
-        parts = [r for (c, _, _), r in zip(tasks, results) if c == comp]
-        stats[comp] = _pairwise_reduce(parts)
-
-    def moments(acc: np.ndarray) -> tuple[int, float, float]:
-        count = int(acc[0])
-        mean = acc[1] / count
-        var = max(acc[2] / count - mean * mean, 0.0) * count / max(count - 1, 1)
-        return count, mean, var
-
+    totals = [_pairwise_reduce([r for t, r in zip(tasks, results) if t[0] == comp]) for comp, *_ in plan]
     out = []
     for i, obs in enumerate(observables):
-        cnt_h, mean_h, var_h = moments(stats["husimi"][i])
-        if method == "mu":
-            cnt_s, mean_s, var_s = moments(stats["hermite-mixture"][i])
-            w_h, w_s = 1.0 + d / 2.0, d / 2.0
-            value = w_h * mean_h - w_s * mean_s
-            variance = w_h**2 * var_h / cnt_h + w_s**2 * var_s / cnt_s
-            mean_hermite: Optional[float] = mean_s
-            n_hermite = cnt_s
-        else:
-            value = mean_h
-            variance = var_h / cnt_h
-            mean_hermite = None
-            n_hermite = 0
-        stderr = 0.0 if source.deterministic else float(np.sqrt(variance))
+        counts, means, value, variance = {}, {}, None, None
+        for (comp, weight, _, _), acc in zip(plan, totals):
+            count = counts[comp] = int(acc[i, 0])
+            mean = means[comp] = float(acc[i, 1] / count)
+            var = max(acc[i, 2] / count - mean * mean, 0.0) * count / max(count - 1, 1)
+            # Each sum starts from the first row, so w_h m_h + (-w_s) m_s
+            # keeps every double of w_h m_h - w_s m_s, signed zeros included.
+            term, spread = weight * mean, weight**2 * var / count
+            value, variance = (term, spread) if value is None else (value + term, variance + spread)
         if not np.isfinite(value):
             raise NonFiniteResultError(
                 f"estimate of {obs.label!r} is not finite (value={value!r})"
             )
         out.append(EstimatorResult(
-            value=float(value),
-            stderr=stderr,
-            n_husimi=cnt_h,
-            n_hermite=n_hermite,
-            mean_husimi=float(mean_h),
-            mean_hermite=None if mean_hermite is None else float(mean_hermite),
+            value=value,
+            stderr=0.0 if source.deterministic else float(np.sqrt(variance)),
+            n_husimi=counts["husimi"],
+            n_hermite=counts.get("hermite-mixture", 0),
+            mean_husimi=means["husimi"],
+            mean_hermite=means.get("hermite-mixture"),
             method=method,
             deterministic=source.deterministic,
             generator=source.generator_id,

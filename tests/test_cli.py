@@ -359,6 +359,15 @@ class TestInputBoundsCommand:
         assert code == 2
         assert "Halton index bound" in capsys.readouterr().err
 
+    def test_halton_range_below_the_bound_exits_0(self, tmp_path):
+        # skip = (2**53 - 1) // 13 - 2000: every index read times 13 stays
+        # below 2**53, though the last index of its 32768-point chunk does not
+        code = main(
+            ["expectation", "--observable", "hh-total", "--d", "2", "--n", "1000",
+             "--sampler", "halton", "--skip", "692861481131922", "--out", str(tmp_path / "e.csv")]
+        )
+        assert code == 0
+
     def test_zero_workers_exits_2(self, capsys):
         code = main(
             ["expectation", "--observable", "hh-total", "--d", "2", "--n", "1000", "--workers", "0"]

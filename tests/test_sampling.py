@@ -618,14 +618,19 @@ class TestEstimator:
             )
             assert abs(res.value - 0.37) < 5 * res.stderr
 
-    def test_value_combines_component_means(self):
+    @pytest.mark.parametrize("method", ["mu", "husimi"])
+    @pytest.mark.parametrize("split", [0.25, 0.5, 0.75])
+    def test_value_combines_component_means(self, method, split):
         st = GaussianState.wavepacket(0.05, [0.1, 0.2], [0.3, 0.4])
         A = observable_from_polynomial_records([[1.0, [2, 0, 0, 0]]], 2)
-        res = estimate_expectation(st, A, method="mu", n=20_000)
+        res = estimate_expectation(st, A, method=method, n=20_000, split=split)
         d = 2
-        assert res.value == pytest.approx(
-            (1 + d / 2) * res.mean_husimi - (d / 2) * res.mean_hermite, abs=0
-        )
+        if method == "mu":
+            expected = (1 + d / 2) * res.mean_husimi - (d / 2) * res.mean_hermite
+        else:
+            assert res.n_hermite == 0 and res.mean_hermite is None
+            expected = res.mean_husimi
+        assert res.value == pytest.approx(expected, abs=0)
         assert res.n_husimi + res.n_hermite == 20_000
 
     def test_split_controls_budgets(self):
@@ -864,6 +869,23 @@ class TestInputBounds:
             assert row.tolist() == [exact_radical_inverse(last, b) for b in primes]
             with pytest.raises(ValueError, match="Halton index bound"):
                 halton_points(1, dim, skip=last + 1)
+
+    def test_halton_source_reads_its_chunk_up_to_the_bound(self):
+        # the chunk of skip runs past (2**53 - 1) // 13, the last index a
+        # dim-6 source admits: every index up to it reads, bit for bit, as
+        # halton_points does, and a read past it is refused
+        last = (2**53 - 1) // 13
+        skip = last - 2000
+        src = PointSource(dimension=6, kind="halton", skip=skip)
+        whole = halton_points(2001, 6, skip=skip)
+        for start, count in ((0, 1000), (0, 2001), (1500, 501)):
+            block = src.uniform_block(start, count)
+            assert block.view(np.int64).tolist() == whole[start : start + count].view(np.int64).tolist()
+        for start, count in ((0, 2002), (2001, 1)):
+            with pytest.raises(ValueError, match="Halton index bound"):
+                src.uniform_block(start, count)
+        with pytest.raises(ValueError, match="Halton index bound"):
+            PointSource(dimension=6, kind="halton", skip=last + 1).uniform_block(0, 1)
 
     def test_workers_below_one_rejected(self):
         st = GaussianState.wavepacket(0.05, [0.0], [0.0])
