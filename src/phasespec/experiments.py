@@ -263,13 +263,14 @@ def _symbol_evaluation_seconds(n: int, A: Observable) -> float:
     return float(n) * SYMBOL_COST_PER_ENTRY_SECONDS * (len(terms) + sum(len(fs) for _, fs in terms))
 
 
-def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, observables) -> float:
-    """Cost-model projection of one shared tensor-grid call over the
-    observables: points_per_axis nodes on each of the 2d axes, each
-    evaluating the K axis-table columns and, for every distinct 1-D factor
-    on that axis, the factor and its Gram entries."""
+def _projected_tensor_grid_seconds(points_per_axis: int, state: GaussianState, plane_rows) -> float:
+    """Cost-model projection of one shared tensor-grid call over observables
+    with the plane rows ``_plane_rows(observables, state.dim)[0]``:
+    points_per_axis nodes on each of the 2d axes, each evaluating the K
+    axis-table columns and, for every distinct 1-D factor on that axis, the
+    factor and its Gram entries."""
     K, d = state.n_branches, state.dim
-    axes = [set(side) for rows in _plane_rows(observables, d)[0] for side in zip(*_axis_parts(rows, d))]
+    axes = [set(side) for rows in plane_rows for side in zip(*_axis_parts(rows, d))]
     factors = sum(map(len, axes))
     evaluated = factors - len(axes)  # every axis has the constant factor ()
     return float(points_per_axis) * (
@@ -439,31 +440,25 @@ def run_accuracy_sweep(
     use_sampler = sampler_config is not None
     states = [benchmark_superposition(h) for h in h_list]
     # entries may be labels or d -> Observable factories (e.g. degree-<=3
-    # polynomial control rows, whose mu error sits at the quadrature floor)
-    observable_sets = [
-        [
-            observable_from_label(lbl, state.dim) if isinstance(lbl, str) else lbl(state.dim)
-            for lbl in observable_labels
-        ]
-        for state in states
-    ]
+    # polynomial control rows, whose mu error sits at the quadrature floor);
+    # every sweep state has d = 2, so one set serves them all
+    d = states[0].dim
+    observables = [observable_from_label(lbl, d) if isinstance(lbl, str) else lbl(d) for lbl in observable_labels]
     # sampler mode reads one stream per (h, method) for all observables; grid
     # mode makes one tensor-grid call per h for every (method, observable)
     if use_sampler:
         n = sampler_config.resolved_n()
         projected = sum(len(methods) * projected_seconds(n, st.dim, weighted=True) for st in states)
     else:
-        projected = sum(
-            _projected_tensor_grid_seconds(points_per_axis, st, obs)
-            for st, obs in zip(states, observable_sets)
-        )
+        plane_rows = _plane_rows(observables, d)[0]
+        projected = sum(_projected_tensor_grid_seconds(points_per_axis, st, plane_rows) for st in states)
         _require_grid("points_per_axis", points_per_axis)
     _require_budget(projected, force)
     rows = []
     errors: dict[tuple, list] = {}
     floors_ok: dict[tuple, bool] = {}
-    for h, state, observables in zip(h_list, states, observable_sets):
-        refs = {A.label: weyl_expectation_gaussian(A, state) for A in observables}
+    for h, state in zip(h_list, states):
+        refs = weyl_expectation_gaussian(observables, state)
         if not use_sampler:
             # one shared plane walk per h for every (method, observable)
             t0 = time.perf_counter()
@@ -492,11 +487,10 @@ def run_accuracy_sweep(
             else:
                 n_used = points_per_axis ** (2 * state.dim)
                 outcomes = [
-                    (estimate, 1e-12 * max(1.0, abs(refs[A.label])), n_used, grid_wall)
-                    for A, estimate in zip(observables, grid[method])
+                    (estimate, 1e-12 * max(1.0, abs(ref)), n_used, grid_wall)
+                    for ref, estimate in zip(refs, grid[method])
                 ]
-            for A, (estimate, floor, n_used, wall) in zip(observables, outcomes):
-                ref = refs[A.label]
+            for A, ref, (estimate, floor, n_used, wall) in zip(observables, refs, outcomes):
                 abs_err = abs(estimate - ref)
                 rel_err = abs_err / abs(ref)
                 rows.append(
@@ -560,8 +554,8 @@ def run_henon_heiles(
             state, energies, method="mu", n=n, source=source, split=split, workers=workers
         )
         wall = time.perf_counter() - t0
-        for A, result in zip(energies, results):
-            reference = weyl_expectation_gaussian(A, state)
+        references = weyl_expectation_gaussian(energies, state)
+        for A, result, reference in zip(energies, results, references):
             abs_err = abs(result.value - reference)
             rel_err = abs_err / abs(reference)
             rows.append((d, "mu", A.label, result.value, reference, abs_err, rel_err, n, wall))

@@ -343,7 +343,7 @@ def henon_heiles_total(spec: HenonHeilesSpec) -> Observable:
     )
 
 
-def weyl_expectation_gaussian(A, state: GaussianState) -> float:
+def weyl_expectation_gaussian(A, state: GaussianState) -> float | list[float]:
     """Exact normalized expectation <psi|A^w|psi> / <psi|psi> of a symbol
     against a superposition.
 
@@ -352,17 +352,38 @@ def weyl_expectation_gaussian(A, state: GaussianState) -> float:
     N(M_kl, h/2) variables with complex means, so each term reduces to a
     product of one-dimensional moments E[X^e cos(w X)]; the pairs are summed
     with their weights W_kl.
+
+    ``A`` (an observable or a symbol) may also be a list or tuple of them;
+    the result is then the list of their expectations.  The pair terms, the
+    weights and the norm are built once, and each distinct moment once for
+    every symbol that has its factor, so each value equals that of a single
+    call.
     """
-    poly = A.polynomial if isinstance(A, Observable) else A
-    if not isinstance(poly, PolynomialSymbol):
-        raise ValueError("weyl_expectation_gaussian requires an observable with a symbol")
-    if poly.dim != state.dim:
-        raise ValueError("observable and state dimensions differ")
+    sequence = isinstance(A, (list, tuple))
+    symbols = []
+    for X in A if sequence else [A]:
+        poly = X.polynomial if isinstance(X, Observable) else X
+        if not isinstance(poly, PolynomialSymbol):
+            raise ValueError("weyl_expectation_gaussian requires an observable with a symbol")
+        if poly.dim != state.dim:
+            raise ValueError("observable and state dimensions differ")
+        symbols.append(poly)
+    if not symbols:
+        raise ValueError("weyl_expectation_gaussian needs at least one observable")
     C, L, M = _pair_terms(state)
+    weights = C * np.exp(L)
+    norm2 = state_norm2(state)
     var = state.h / 2.0
-    F = [_cosine_moment(M[:, i], var, e, w) for i, e, w in poly.factor_table[0]]
-    total = poly._term_sum(F, np.zeros(C.size, dtype=complex))
-    return float(((C * np.exp(L)) @ total).real / state_norm2(state))
+    moments: dict[tuple, np.ndarray] = {}
+    values = []
+    for poly in symbols:
+        for i, e, w in poly.factor_table[0]:
+            if (i, e, w) not in moments:
+                moments[i, e, w] = _cosine_moment(M[:, i], var, e, w)
+        F = [moments[f] for f in poly.factor_table[0]]
+        total = poly._term_sum(F, np.zeros(C.size, dtype=complex))
+        values.append(float((weights @ total).real / norm2))
+    return values if sequence else values[0]
 
 
 OBSERVABLE_LABELS = ("torsional", "quartic-momentum", "hh-kinetic", "hh-potential", "hh-total")

@@ -124,22 +124,22 @@ def _axis_blocks(lo: float, hi: float, n: int):
         yield x, w
 
 
-def _axis_grams(h: float, centers: np.ndarray, phase: np.ndarray, bounds, n: int, keys) -> dict:
-    """{key: (2K, 2K) Gram (T * w f) @ conj(T).T} on one axis, for each 1-D
-    factor key (a tuple of (variable, exponent, frequency), () the constant
-    1), with T the stacked table [alpha; beta]: alpha[k] = exp(-(x - c_k)^2/(4h)
-    + i s_k x/(2h)) for the branch centers c on this axis and the phase
-    slopes s, beta[k] = (c_k - x) alpha[k]."""
+def _axis_grams(h: float, centers: np.ndarray, phase: np.ndarray, bounds, n: int, keys: list) -> np.ndarray:
+    """(len(keys), 2K, 2K) stack of the Grams (T * w f) @ conj(T).T on one
+    axis, one for each 1-D factor key (a tuple of (variable, exponent,
+    frequency), () the constant 1), with T the stacked table [alpha; beta]:
+    alpha[k] = exp(-(x - c_k)^2/(4h) + i s_k x/(2h)) for the branch centers c
+    on this axis and the phase slopes s, beta[k] = (c_k - x) alpha[k].  One
+    batched product per block forms every key's Gram, each the doubles of its
+    own product."""
     K = centers.size
-    grams = {key: np.zeros((2 * K, 2 * K), dtype=complex) for key in keys}
+    grams = np.zeros((len(keys), 2 * K, 2 * K), dtype=complex)
     c = centers[:, None]
     for x, w in _axis_blocks(*bounds, n):
         alpha = np.exp((x - c) ** 2 / (-4.0 * h) + 1j * (np.multiply.outer(phase, x) * (1.0 / (2.0 * h))))
         T = np.concatenate([alpha, (c - x) * alpha])
-        Tc = T.conj().T
-        for key, gram in grams.items():
-            wf = w * reduce(mul, (_factor(x, e, fw) for _, e, fw in key), 1.0)
-            gram += (T * wf) @ Tc
+        wf = np.array([w * reduce(mul, (_factor(x, e, fw) for _, e, fw in key), 1.0) for key in keys])
+        grams += (T * wf[:, None, :]) @ T.conj().T
     return grams
 
 
@@ -149,11 +149,24 @@ def _axis_parts(rows, d: int) -> list[tuple[tuple, tuple]]:
     return [tuple(tuple(f for f in key if (f[0] >= d) == on_p) for on_p in (False, True)) for key in rows]
 
 
+def _ordered_product(factors: list):
+    """The product of the planes' (K, K) factors, multiplied left to right and
+    in place into a copy of the first: the order and doubles of ``np.prod``
+    over axis 0 of their stack.  The empty product is 1 + 0j."""
+    if not factors:
+        return 1.0 + 0j
+    out = factors[0].copy()
+    for F in factors[1:]:
+        out *= F
+    return out
+
+
 def _plane_rows(observables, d: int) -> tuple[list[list[tuple]], list[list[tuple]]]:
     """(rows, term_lists) of a shared plane walk: rows[j] lists the distinct
     plane factors on plane j, each a tuple of (variable, exponent, frequency)
     factors on q_j and p_j, row 0 the constant (); term_lists[i] lists the
-    i-th observable's terms as (coefficient, row on each plane).  None is A = 1.
+    i-th observable's terms as (coefficient, tuple of its row on each plane).
+    None is A = 1.
     """
     index = [{(): 0} for _ in range(d)]
     term_lists = []
@@ -172,7 +185,7 @@ def _plane_rows(observables, d: int) -> tuple[list[list[tuple]], list[list[tuple
             rows = [0] * d
             for j, key in planes.items():
                 rows[j] = index[j].setdefault(key, len(index[j]))
-            term_lists[-1].append((coeff, rows))
+            term_lists[-1].append((coeff, tuple(rows)))
     return [list(rows) for rows in index], term_lists
 
 
@@ -208,25 +221,35 @@ def tensor_grid_integrals(
     cq, cp = state.centers_q, state.centers_p
     for j, (q_bounds, p_bounds) in enumerate(_plane_bounds(state)):
         parts = _axis_parts(plane_rows[j], d)
-        A = _axis_grams(h, cq[:, j], cp[:, j], q_bounds, points_per_axis, dict.fromkeys(q for q, _ in parts))
-        B = _axis_grams(h, cp[:, j], -cq[:, j], p_bounds, points_per_axis, dict.fromkeys(p for _, p in parts))
-        for r, (fq, fp) in enumerate(parts):
-            # quadrants [s, k, t, l] of the stacked Grams X_st, 0 = alpha, 1 = beta
-            a, b = A[fq].reshape(2, K, 2, K), B[fp].reshape(2, K, 2, K)
-            I0[r, j] = a[0, :, 0] * b[0, :, 0]
-            Ib[r, j] = (
-                a[1, :, 1] * b[0, :, 0]
-                + a[0, :, 0] * b[1, :, 1]
-                + 1j * (b[1, :, 0] * a[0, :, 1] - a[1, :, 0] * b[0, :, 1])
-            )
+        q_keys, p_keys = (list(dict.fromkeys(side)) for side in zip(*parts))
+        A = _axis_grams(h, cq[:, j], cp[:, j], q_bounds, points_per_axis, q_keys)
+        B = _axis_grams(h, cp[:, j], -cq[:, j], p_bounds, points_per_axis, p_keys)
+        # quadrants [row, s, k, t, l] of the rows' stacked Grams X_st, 0 = alpha, 1 = beta
+        R = len(parts)
+        a = A[[q_keys.index(fq) for fq, _ in parts]].reshape(R, 2, K, 2, K)
+        b = B[[p_keys.index(fp) for _, fp in parts]].reshape(R, 2, K, 2, K)
+        I0[:R, j] = a[:, 0, :, 0] * b[:, 0, :, 0]
+        Ib[:R, j] = (
+            a[:, 1, :, 1] * b[:, 0, :, 0]
+            + a[:, 0, :, 0] * b[:, 1, :, 1]
+            + 1j * (b[:, 1, :, 0] * a[:, 0, :, 1] - a[:, 1, :, 0] * b[:, 0, :, 1])
+        )
 
-    def combine(method: str, i0: np.ndarray, ib: np.ndarray) -> np.ndarray:
-        """(K, K) grid integrals of the density's pair kernels from the
-        (d, K, K) plane stacks."""
-        prod_all = np.prod(i0, axis=0)
+    # (product, cross) kernels per row tuple, so the density's denominator and
+    # a constant term (every row 0) share them, and so do the methods
+    kernels: dict[tuple, tuple] = {}
+
+    def combine(method: str, rows: tuple) -> np.ndarray:
+        """(K, K) grid integrals of the density's pair kernels from row
+        rows[j] of each plane j's stacks: from prod_j I0_j and
+        sum_j Ib_j prod_{k != j} I0_k, each product in plane order."""
+        if rows not in kernels:
+            i0 = [I0[r, j] for j, r in enumerate(rows)]
+            cross = sum(Ib[r, j] * _ordered_product(i0[:j] + i0[j + 1 :]) for j, r in enumerate(rows))
+            kernels[rows] = _ordered_product(i0), cross
+        prod_all, cross = kernels[rows]
         if method == "husimi":
             return prod_all
-        cross = sum(ib[j] * np.prod(np.delete(i0, j, axis=0), axis=0) for j in range(d))
         if method == "mu":
             return (1.0 + d / 2.0) * prod_all - cross / (4.0 * h)
         return cross / (2.0 * h * d)  # hermite-mixture
@@ -236,14 +259,10 @@ def tensor_grid_integrals(
         c = state.coefficients
         return (2.0 * np.pi * h) ** (-d) * float((c @ M @ c.conj()).real)
 
-    planes = np.arange(d)
     out = {}
     for m in methods:
-        den = contract(combine(m, I0[0], Ib[0]))
-        out[m] = [
-            (contract(sum(c * combine(m, I0[r, planes], Ib[r, planes]) for c, r in terms)), den)
-            for terms in term_lists
-        ]
+        den = contract(combine(m, (0,) * d))
+        out[m] = [(contract(sum(c * combine(m, rows) for c, rows in terms)), den) for terms in term_lists]
     return out[method][0] if single else out
 
 

@@ -221,6 +221,13 @@ def axis_factor(exps, freqs, i):
     return lambda x: times_factor(np.ones_like(x), x, e, w)
 
 
+def delete_order_products(i0):
+    """(product over all planes, [product with plane j deleted for each j])
+    of a (d, K, K) stack of plane factors, by ``np.prod`` over axis 0 of the
+    stack and of ``np.delete(i0, j, axis=0)``."""
+    return np.prod(i0, axis=0), [np.prod(np.delete(i0, j, axis=0), axis=0) for j in range(len(i0))]
+
+
 def tensor_grid_every_row(state, observable, method, points_per_axis):
     """(num, den) of one observable and one method by the factored axis walk
     of ``tensor_grid_integrals``, but with no shared or copied rows: the
@@ -268,10 +275,10 @@ def tensor_grid_every_row(state, observable, method, points_per_axis):
             )
 
     def combine(i0, ib):
-        prod_all = np.prod(i0, axis=0)
+        prod_all, deleted = delete_order_products(i0)
         if method == "husimi":
             return prod_all
-        cross = sum(ib[j] * np.prod(np.delete(i0, j, axis=0), axis=0) for j in range(d))
+        cross = sum(ib[j] * deleted[j] for j in range(d))
         if method == "mu":
             return (1.0 + d / 2.0) * prod_all - cross / (4.0 * h)
         return cross / (2.0 * h * d)

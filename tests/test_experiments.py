@@ -26,7 +26,7 @@ from phasespec.experiments import (
     run_henon_heiles,
     write_csv,
 )
-from phasespec.quadrature import tensor_grid_expectation
+from phasespec.quadrature import _plane_rows, tensor_grid_expectation
 
 
 class TestDensitySection:
@@ -107,6 +107,19 @@ class TestAccuracySweep:
         assert row[4] == weyl_expectation_gaussian(mixed(2), benchmark_superposition(0.1))
         # degree 2: the mu estimate is exact up to the quadrature floor
         assert row[5] < 1e-9
+
+    def test_same_label_observables_keep_their_own_references(self):
+        # two inline polynomials share the label "polynomial": each row reads
+        # the reference of its own observable, not the last one of that label
+        from phasespec.observables import observable_from_polynomial_records, weyl_expectation_gaussian
+
+        factories = [
+            lambda d, e=e: observable_from_polynomial_records([[1.0, e]], d) for e in ([2, 0, 0, 0], [0, 0, 0, 2])
+        ]
+        res = run_accuracy_sweep(h_list=(0.1,), methods=("mu",), observable_labels=factories, points_per_axis=40)
+        state = benchmark_superposition(0.1)
+        assert res.column("reference") == [weyl_expectation_gaussian(f(2), state) for f in factories]
+        assert res.column("reference")[0] != res.column("reference")[1]
 
     @pytest.mark.parametrize("h_list", [(0.1,), (0.1, 0.1)])
     def test_single_h_reports_no_slope(self, h_list):
@@ -412,47 +425,52 @@ class TestTensorGridCostModel:
     """The tensor-grid projection is linear in points_per_axis and charges
     each distinct 1-D factor once per axis."""
 
+    @staticmethod
+    def projected(points_per_axis, st, observables):
+        """The projection of a call over the observables, from their plane rows."""
+        return _projected_tensor_grid_seconds(points_per_axis, st, _plane_rows(observables, st.dim)[0])
+
     def test_charges_only_computed_rows(self):
         from phasespec.observables import observable_from_label, observable_from_polynomial_records
 
         st = benchmark_superposition(0.1)  # K = 2, d = 2
         constant = TENSOR_COST_PER_FACTOR_POINT_SECONDS + 4 * TENSOR_COST_PER_GRAM_ENTRY_SECONDS
         per_factor = constant + TENSOR_COST_PER_EVALUATION_POINT_SECONDS
-        base = _projected_tensor_grid_seconds(100, st, [])
+        base = self.projected(100, st, [])
         # the K table columns and the constant factor on each of the 4 axes
         assert base == pytest.approx(100 * 4 * (2 * TENSOR_COST_PER_BRANCH_POINT_SECONDS + constant))
         torsional, quartic = (observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum"))
         # torsional: cos q_j on each q axis; quartic: p_j^4 and p_j^2 on each p axis
-        assert _projected_tensor_grid_seconds(100, st, [torsional]) - base == pytest.approx(100 * 2 * per_factor)
-        assert _projected_tensor_grid_seconds(100, st, [torsional, quartic]) - base == pytest.approx(
+        assert self.projected(100, st, [torsional]) - base == pytest.approx(100 * 2 * per_factor)
+        assert self.projected(100, st, [torsional, quartic]) - base == pytest.approx(
             100 * 6 * per_factor
         )
         # hh-kinetic's p_j^2 factors are quartic-momentum's already, so adding
         # it to quartic charges nothing
         kinetic = observable_from_label("hh-kinetic", 2)
-        assert _projected_tensor_grid_seconds(100, st, [kinetic]) - base == pytest.approx(100 * 2 * per_factor)
-        assert _projected_tensor_grid_seconds(100, st, [quartic, kinetic]) == _projected_tensor_grid_seconds(
+        assert self.projected(100, st, [kinetic]) - base == pytest.approx(100 * 2 * per_factor)
+        assert self.projected(100, st, [quartic, kinetic]) == self.projected(
             100, st, [quartic]
         )
         # q_1 p_1 and q_1 p_1^2 are two plane rows but three axis factors:
         # q_1 is summed once on the q_1 axis, p_1 and p_1^2 on the p_1 axis
         mixed = observable_from_polynomial_records([[1.0, [1, 0, 1, 0]], [1.0, [1, 0, 2, 0]]], 2)
-        assert _projected_tensor_grid_seconds(100, st, [mixed]) - base == pytest.approx(100 * 3 * per_factor)
+        assert self.projected(100, st, [mixed]) - base == pytest.approx(100 * 3 * per_factor)
 
     def test_linear_in_points_per_axis(self):
         from phasespec.observables import observable_from_label
 
         st = benchmark_superposition(0.01)
         obs = [observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum")]
-        assert _projected_tensor_grid_seconds(20000, st, obs) == pytest.approx(
-            100 * _projected_tensor_grid_seconds(200, st, obs)
+        assert self.projected(20000, st, obs) == pytest.approx(
+            100 * self.projected(200, st, obs)
         )
 
     def test_default_sweep_far_below_budget(self):
         from phasespec.observables import observable_from_label
 
         obs = [observable_from_label(lbl, 2) for lbl in ("torsional", "quartic-momentum")]
-        total = sum(_projected_tensor_grid_seconds(160, benchmark_superposition(h), obs) for h in DEFAULT_H_LIST)
+        total = sum(self.projected(160, benchmark_superposition(h), obs) for h in DEFAULT_H_LIST)
         assert total < 1e-3 * TIME_BUDGET_SECONDS
 
 

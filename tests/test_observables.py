@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
@@ -178,6 +181,56 @@ class TestPolynomialCanonicalProperty:
             scale = scale + term_scale
         summed = a.evaluate(Q, P) + b.evaluate(Q, P)
         assert np.all(np.abs((a + b).evaluate(Q, P) - summed) <= 1e-12 * scale)
+
+
+class TestSequenceReference:
+    """A list or tuple of symbols shares one pass over the branch pairs and
+    one table of the distinct moments, yet every value is that of a single
+    call, bit for bit."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        data=strategies.data(),
+        K=strategies.integers(1, 3),
+        d=strategies.integers(1, 3),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_equals_single_calls(self, data, K, d, seed):
+        rng = np.random.default_rng(seed)
+        branches = [
+            (complex(*rng.uniform(-1.0, 1.0, size=2)), PhasePoint(*rng.uniform(-1.0, 1.0, size=(2, d))))
+            for _ in range(K)
+        ]
+        try:
+            state = GaussianState.from_branches(float(rng.uniform(0.02, 0.3)), branches)
+        except ValueError:
+            assume(False)  # a zero-norm draw is not a state
+        symbols = data.draw(strategies.lists(cosine_symbols(d), min_size=1, max_size=3))
+        # a sum shares every factor of its summands; an observable wraps a symbol
+        symbols.append(reduce(add, symbols))
+        symbols.append(Observable("wrapped", symbols[0].evaluate, polynomial=symbols[0]))
+        singles = [weyl_expectation_gaussian(A, state) for A in symbols]
+        assert weyl_expectation_gaussian(symbols, state) == singles
+        assert weyl_expectation_gaussian(tuple(reversed(symbols)), state) == singles[::-1]
+        assert all(type(v) is float for v in weyl_expectation_gaussian(symbols, state))
+
+    def test_henon_heiles_energies(self):
+        spec = HenonHeilesSpec(d=4)
+        total = henon_heiles_total(spec)
+        energies = (*total.parts, total)
+        state = spec.benchmark_state()
+        assert weyl_expectation_gaussian(energies, state) == [weyl_expectation_gaussian(A, state) for A in energies]
+
+    def test_refused(self):
+        st = GaussianState.wavepacket(0.05, [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="at least one observable"):
+            weyl_expectation_gaussian([], st)
+        with pytest.raises(ValueError, match="at least one observable"):
+            weyl_expectation_gaussian((), st)
+        with pytest.raises(ValueError, match="observable and state dimensions differ"):
+            weyl_expectation_gaussian([quartic_momentum(2), quartic_momentum(3)], st)
+        with pytest.raises(ValueError, match="requires an observable with a symbol"):
+            weyl_expectation_gaussian([quartic_momentum(2), Observable("abs-q1", lambda Q, P: np.abs(Q[:, 0]))], st)
 
 
 class TestNamedObservables:

@@ -17,11 +17,12 @@ from phasespec.quadrature import (
     _BLOCK_POINTS,
     _axis_blocks,
     _plane_bounds,
+    _ordered_product,
     plane_axes,
     tensor_grid_expectation,
     tensor_grid_integrals,
 )
-from _oracles import _trapezoid_weights, direct_grid_integrals, tensor_grid_every_row
+from _oracles import _trapezoid_weights, delete_order_products, direct_grid_integrals, tensor_grid_every_row
 
 
 class TestFactoredVersusDirect:
@@ -187,13 +188,15 @@ class TestSharedPass:
         out.append(observable_from_polynomial_records(records, d))
         return out
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    # d >= 3 multiplies three or more plane factors in each product, and the
+    # oracle forms them by np.prod over np.delete
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_equals_single_calls(self, K, d):
         rng = np.random.default_rng(100 * K + d)
         st = random_superposition(rng, K, d, 0.08)
         observables = self.observables(rng, d)
-        points = 16 if d == 3 else 40
+        points = {3: 16, 4: 8}.get(d, 40)
         shared = tensor_grid_integrals(st, observables, METHODS, points_per_axis=points)
         assert list(shared) == list(METHODS)
         for method in METHODS:
@@ -230,6 +233,29 @@ class TestSharedPass:
         for observable, method in (([], "mu"), (None, []), (None, ["mu", "wigner"])):
             with pytest.raises(ValueError):
                 tensor_grid_integrals(st, observable, method, points_per_axis=20)
+
+
+class TestPlaneProducts:
+    """The grid multiplies its plane factors left to right, in place, with no
+    deleted copies of the plane stack, yet every product has the doubles of
+    ``np.prod`` over ``np.delete`` (the combined kernels are compared with
+    that oracle in TestSharedPass)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_products_equal_delete_order(self, K, d):
+        rng = np.random.default_rng(10 * K + d)
+        for _ in range(50):
+            # magnitudes over many binades, so a product's rounding shows
+            i0 = (rng.normal(size=(d, K, K)) + 1j * rng.normal(size=(d, K, K))) * 10.0 ** rng.integers(
+                -8, 9, size=(d, K, K)
+            )
+            want_all, want_deleted = delete_order_products(i0)
+            assert _ordered_product(list(i0)).tobytes() == want_all.tobytes()
+            for j, want in enumerate(want_deleted):
+                got = _ordered_product(list(i0[:j]) + list(i0[j + 1 :]))
+                assert np.broadcast_to(got, (K, K)).tobytes() == want.tobytes()
+            assert d > 1 or _ordered_product([]) == 1.0 + 0j
 
 
 class TestSuperpositionProperties:
